@@ -17,7 +17,6 @@
 #include "compiler/pipeline.hh"
 #include "core/experiment.hh"
 #include "sim/event_wheel.hh"
-#include "sim/sm.hh"
 #include "workloads/suite.hh"
 
 namespace {
@@ -152,11 +151,12 @@ BM_TimingSimulatorSkipAheadOff(benchmark::State &state)
     // way; tests/test_engine_equivalence.cc holds that line).
     const rm::Program p = rm::buildWorkload("BFS");
     const rm::GpuConfig config = rm::gtx480Config();
-    rm::Sm::setSkipAhead(false);
+    rm::RunOptions options;
+    options.gpu.control.skipAhead = false;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(rm::runBaseline(p, config).cycles);
+        benchmark::DoNotOptimize(
+            rm::runPolicy("baseline", p, config, options).stats().cycles);
     }
-    rm::Sm::setSkipAhead(true);
 }
 BENCHMARK(BM_TimingSimulatorSkipAheadOff)->Unit(benchmark::kMillisecond);
 

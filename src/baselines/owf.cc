@@ -61,8 +61,9 @@ OwfAllocator::prepare(const GpuConfig &config, const Program &program)
             break;
         --ctas;
     }
-    fatalIf(ctas <= 0, "OwfAllocator: kernel '", program.info.name,
-            "' cannot fit one CTA");
+    fatalIf<KernelDoesNotFitError>(ctas <= 0, "OwfAllocator: kernel '",
+                                   program.info.name,
+                                   "' cannot fit one CTA");
 
     // Sharing exists to admit extra thread blocks (Jatala Sec. 3): if
     // the pair footprint does not fit meaningfully more warps than the

@@ -99,8 +99,9 @@ RfvAllocator::prepare(const GpuConfig &config, const Program &program)
         computeOccupancy(config, estDemand, program.info.ctaThreads,
                          program.info.sharedBytesPerCta);
     maxCtas = occ.ctasPerSm;
-    fatalIf(maxCtas <= 0, "RfvAllocator: kernel '", program.info.name,
-            "' does not fit under the provisioned demand");
+    fatalIf<KernelDoesNotFitError>(
+        maxCtas <= 0, "RfvAllocator: kernel '", program.info.name,
+        "' does not fit under the provisioned demand");
 }
 
 void

@@ -25,6 +25,17 @@ class FatalError : public std::runtime_error
     {}
 };
 
+/**
+ * Thrown when a kernel cannot place even one CTA on an SM under a
+ * register-allocation policy: a legitimate configuration outcome (e.g.
+ * a 44-register CTA on a halved register file) rather than a bad input.
+ */
+class KernelDoesNotFitError : public FatalError
+{
+  public:
+    using FatalError::FatalError;
+};
+
 /** Thrown on internal invariant violations (library bugs). */
 class PanicError : public std::logic_error
 {
@@ -52,15 +63,16 @@ appendAll(std::ostringstream &os, const T &value, const Rest &...rest)
 
 /**
  * Report a user-caused error (invalid configuration, malformed kernel).
- * All arguments are stream-concatenated into the message.
+ * All arguments are stream-concatenated into the message, thrown as
+ * @p Error (a FatalError subtype).
  */
-template <typename... Args>
+template <typename Error = FatalError, typename... Args>
 [[noreturn]] void
 fatal(const Args &...args)
 {
     std::ostringstream os;
     detail::appendAll(os, args...);
-    throw FatalError(os.str());
+    throw Error(os.str());
 }
 
 /**
@@ -76,13 +88,13 @@ panic(const Args &...args)
     throw PanicError(os.str());
 }
 
-/** fatal() unless the condition holds. */
-template <typename... Args>
+/** fatal() when the condition holds. */
+template <typename Error = FatalError, typename... Args>
 void
 fatalIf(bool condition, const Args &...args)
 {
     if (condition)
-        fatal(args...);
+        fatal<Error>(args...);
 }
 
 /** panic() unless the condition holds. */

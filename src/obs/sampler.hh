@@ -35,13 +35,19 @@ class Sampler
         : registry(reg), sampleInterval(interval_cycles)
     {}
 
+    /** Whether @p cycle is a sample boundary. */
+    bool
+    due(std::uint64_t cycle) const
+    {
+        return sampleInterval != 0 && cycle % sampleInterval == 0;
+    }
+
     /** Call once per simulated cycle. */
     void
     tick(std::uint64_t cycle)
     {
-        if (sampleInterval == 0 || cycle % sampleInterval != 0)
-            return;
-        snapshot(cycle);
+        if (due(cycle))
+            snapshot(cycle);
     }
 
     /** Take a sample right now (e.g. a final end-of-run row). */

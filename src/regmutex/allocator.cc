@@ -64,9 +64,9 @@ RegMutexAllocator::prepare(const GpuConfig &config, const Program &program)
             break;
         --ctas;
     }
-    fatalIf(ctas <= 0,
-            "RegMutexAllocator: kernel '", program.info.name,
-            "' cannot fit one CTA plus one SRP section");
+    fatalIf<KernelDoesNotFitError>(
+        ctas <= 0, "RegMutexAllocator: kernel '", program.info.name,
+        "' cannot fit one CTA plus one SRP section");
     maxCtas = ctas;
     residentWarpCap = ctas * warps_per_cta;
     srpOffsetPacks = residentWarpCap * bs;
@@ -365,9 +365,9 @@ PairedRegMutexAllocator::prepare(const GpuConfig &config,
             break;
         --ctas;
     }
-    fatalIf(ctas <= 0,
-            "PairedRegMutexAllocator: kernel '", program.info.name,
-            "' cannot fit one CTA");
+    fatalIf<KernelDoesNotFitError>(
+        ctas <= 0, "PairedRegMutexAllocator: kernel '", program.info.name,
+        "' cannot fit one CTA");
     maxCtas = ctas;
     residentWarpCap = ctas * warps_per_cta;
     pairs = (residentWarpCap + 1) / 2;

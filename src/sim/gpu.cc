@@ -38,15 +38,9 @@ simulate(const GpuConfig &config, const Program &program,
     if (prepare_allocator)
         allocator.prepare(config, program);
 
-    const int ctas = ctasPerSmShare(config, program);
-    fatalIf(allocator.maxCtasByRegisters() <= 0,
-            "simulate: kernel '", program.info.name,
-            "' does not fit the register file under policy '",
-            allocator.name(), "'");
-
     GlobalMemory gmem(options.log2MemWords, options.memSeed);
-    Sm sm(config, program, allocator, ctas, gmem,
-          std::move(options.mapper), options.trace, options.metrics,
+    Sm sm(config, program, allocator, ctasPerSmShare(config, program),
+          gmem, std::move(options.mapper), options.trace, options.metrics,
           options.sampler, options.smId, options.fault);
     return sm.run();
 }
@@ -58,38 +52,13 @@ mergeSmStats(const std::vector<SimStats> &per_sm)
     fatalIf(per_sm.empty(), "mergeSmStats: no per-SM statistics");
 
     // Identity and per-SM capacity figures are uniform across SMs;
-    // take them from SM 0 (which always has the largest grid share).
+    // take them from SM 0 (which always has the largest grid share)
+    // and fold the other SMs' event counts into its own. Machine time
+    // is the slowest SM; the first deadlocked SM (in id order) provides
+    // the machine-level cause and forensics snapshot.
     SimStats agg = per_sm.front();
-
-    // Machine time is the slowest SM; avgResidentWarps becomes the
-    // cycle-weighted mean so idle (zero-share) SMs do not dilute it.
-    agg.cycles = 0;
-    agg.instructions = 0;
-    agg.ctasCompleted = 0;
-    agg.acquireAttempts = 0;
-    agg.acquireSuccesses = 0;
-    agg.acquireAlreadyHeld = 0;
-    agg.releases = 0;
-    agg.issuedSlots = 0;
-    agg.idleSchedulerSlots = 0;
-    agg.scoreboardStalls = 0;
-    agg.memStructuralStalls = 0;
-    agg.barrierStalls = 0;
-    agg.acquireStalls = 0;
-    agg.resourceStalls = 0;
-    agg.noWarpStalls = 0;
-    agg.emergencySpills = 0;
-    agg.lockAcquisitions = 0;
-    agg.extRegAccesses = 0;
-    agg.bankConflicts = 0;
-    agg.deadlocked = false;
-    agg.faultEvents = 0;
-    agg.deadlockCause = DeadlockCause::None;
-    agg.hang = nullptr;
-
-    double resident_integral = 0.0;
-    std::uint64_t total_cycles = 0;
-    for (const SimStats &sm : per_sm) {
+    for (std::size_t i = 1; i < per_sm.size(); ++i) {
+        const SimStats &sm = per_sm[i];
         agg.cycles = std::max(agg.cycles, sm.cycles);
         agg.instructions += sm.instructions;
         agg.ctasCompleted += sm.ctasCompleted;
@@ -111,12 +80,17 @@ mergeSmStats(const std::vector<SimStats> &per_sm)
         agg.bankConflicts += sm.bankConflicts;
         agg.deadlocked = agg.deadlocked || sm.deadlocked;
         agg.faultEvents += sm.faultEvents;
-        // First deadlocked SM (in id order) provides the machine-level
-        // cause and forensics snapshot.
         if (agg.deadlockCause == DeadlockCause::None)
             agg.deadlockCause = sm.deadlockCause;
         if (!agg.hang)
             agg.hang = sm.hang;
+    }
+
+    // avgResidentWarps becomes the cycle-weighted mean so idle
+    // (zero-share) SMs do not dilute it.
+    double resident_integral = 0.0;
+    std::uint64_t total_cycles = 0;
+    for (const SimStats &sm : per_sm) {
         resident_integral += sm.avgResidentWarps *
                              static_cast<double>(sm.cycles);
         total_cycles += sm.cycles;
@@ -138,85 +112,25 @@ Gpu::Gpu(const GpuConfig &gpu_config, const Program &kernel,
     fatalIf(!factory, "Gpu: no allocator factory");
 }
 
-SimStats
-Gpu::runOneSm(int sm_id, int ctas) const
-{
-    RM_PROF_SCOPE_ARG(ProfPhase::GpuSmRun, sm_id);
-    PreparedAllocator prepared = factory(config, program);
-    fatalIf(!prepared.allocator, "Gpu: allocator factory returned null");
-    fatalIf(prepared.allocator->maxCtasByRegisters() <= 0,
-            "Gpu: kernel '", program.info.name,
-            "' does not fit the register file under policy '",
-            prepared.allocator->name(), "'");
-
-    const ObsSinks sinks = options.sinksForSm
-                               ? options.sinksForSm(sm_id)
-                               : (sm_id == 0 ? options.obs : ObsSinks{});
-
-    // Each SM owns its memory partition: seed memSeed + smId keeps
-    // SM 0 identical to the single-SM model while the other slices
-    // see distinct (deterministic) data.
-    GlobalMemory gmem(options.log2MemWords,
-                      options.memSeed + static_cast<std::uint64_t>(sm_id));
-    // The fault plan applies to the selected SM only (-1: all SMs);
-    // the other SMs get the inert default plan.
-    const bool faulted =
-        options.fault.active() &&
-        (options.faultSm < 0 || options.faultSm == sm_id);
-    Sm sm(config, program, *prepared.allocator, ctas, gmem,
-          std::move(prepared.mapper), sinks.trace, sinks.metrics,
-          sinks.sampler, sm_id, faulted ? options.fault : FaultPlan{});
-    return sm.run();
-}
-
-GpuResult
-Gpu::run()
-{
-    program.verify();
-
-    const bool full = options.mode == GpuOptions::Mode::FullMachine;
-    const int sms = full ? config.numSms : 1;
-    fatalIf(sms <= 0, "Gpu: config has ", sms, " SMs");
-
-    // Budgets, snapshots and resumption need SM state kept alive across
-    // run legs; the plain streaming path below stays untouched (and
-    // bit-identical to the uncontrolled engine) when none are in play.
-    if (options.control.anyLimit() || options.control.sanitize ||
-        options.snapshotEvery > 0 || options.resume != nullptr)
-        return runControlled(sms);
-
-    GpuResult result;
-    result.perSm.resize(static_cast<std::size_t>(sms));
-    parallelFor(
-        sms,
-        [&](int sm_id) {
-            const int ctas =
-                full ? ctasForSm(config, program.info.gridCtas, sm_id)
-                     : ctasPerSmShare(config, program);
-            result.perSm[static_cast<std::size_t>(sm_id)] =
-                runOneSm(sm_id, ctas);
-        },
-        options.threads);
-    result.aggregate = mergeSmStats(result.perSm);
-    return result;
-}
-
 namespace {
 
 /**
- * One SM's live simulation state, kept across run legs of a controlled
- * run so a preempted SM resumes exactly where it stopped. The Sm holds
- * references into `prepared` and `gmem`, so the cell owns all three.
+ * One SM's simulation state, built inside its first run leg and kept
+ * across legs so a preempted SM resumes exactly where it stopped. The
+ * Sm holds references into `prepared` and `gmem`, so the cell owns all
+ * three — and frees all three as soon as the SM finishes, keeping only
+ * its final stats (at threads=1 a FullMachine run then holds one SM's
+ * 8 MiB memory partition at a time, not numSms of them).
  */
 struct SmCell
 {
     int ctas = 0;
     bool finished = false;
     SmRunOutcome outcome;
-    /** Final stats of an SM that was already finished in the resume
-     *  snapshot (no Sm is constructed for it). Live cells read
-     *  Sm::currentStats() instead. */
+    /** Final stats once finished (live cells read the Sm's). */
     SimStats finishedStats;
+    /** Policy name for snapshot capture; empty until the cell is built. */
+    std::string policy;
     PreparedAllocator prepared;
     std::unique_ptr<GlobalMemory> gmem;
     std::unique_ptr<Sm> sm;
@@ -230,9 +144,13 @@ struct SmCell
 } // namespace
 
 GpuResult
-Gpu::runControlled(int sms)
+Gpu::run()
 {
+    program.verify();
+
     const bool full = options.mode == GpuOptions::Mode::FullMachine;
+    const int sms = full ? config.numSms : 1;
+    fatalIf(sms <= 0, "Gpu: config has ", sms, " SMs");
     const std::uint64_t digest = gpuConfigDigest(config);
     const GpuSnapshot *resume = options.resume.get();
 
@@ -268,59 +186,51 @@ Gpu::runControlled(int sms)
                 throw SnapshotError(
                     "resume snapshot SM entry " + std::to_string(i) +
                     " does not match the engine's grid distribution");
+            if (entry.finished) {
+                cell.finished = true;
+                cell.finishedStats = entry.stats;
+            }
         }
     }
 
-    // Cell construction is the expensive part of a leg-0 start
-    // (allocator prepare() runs liveness analysis; a resumed cell
-    // replays the global-memory diff), so build them in parallel too.
-    parallelFor(
-        sms,
-        [&](int sm_id) {
-            RM_PROF_SCOPE_ARG(ProfPhase::GpuCellBuild, sm_id);
-            SmCell &cell = cells[static_cast<std::size_t>(sm_id)];
-            const GpuSnapshot::SmEntry *entry =
-                resume != nullptr
-                    ? &resume->sms[static_cast<std::size_t>(sm_id)]
-                    : nullptr;
-            if (entry != nullptr && entry->finished) {
-                cell.finished = true;
-                cell.finishedStats = entry->stats;
-                return;
-            }
-            cell.prepared = factory(config, program);
-            fatalIf(!cell.prepared.allocator,
-                    "Gpu: allocator factory returned null");
-            fatalIf(cell.prepared.allocator->maxCtasByRegisters() <= 0,
-                    "Gpu: kernel '", program.info.name,
-                    "' does not fit the register file under policy '",
-                    cell.prepared.allocator->name(), "'");
-            const ObsSinks sinks =
-                options.sinksForSm
-                    ? options.sinksForSm(sm_id)
-                    : (sm_id == 0 ? options.obs : ObsSinks{});
-            cell.gmem = std::make_unique<GlobalMemory>(
-                options.log2MemWords,
-                options.memSeed + static_cast<std::uint64_t>(sm_id));
-            const bool faulted =
-                options.fault.active() &&
-                (options.faultSm < 0 || options.faultSm == sm_id);
-            cell.sm = std::make_unique<Sm>(
-                config, program, *cell.prepared.allocator, cell.ctas,
-                *cell.gmem, std::move(cell.prepared.mapper), sinks.trace,
-                sinks.metrics, sinks.sampler, sm_id,
-                faulted ? options.fault : FaultPlan{});
-            if (entry != nullptr) {
-                SnapshotReader r(entry->state);
-                cell.sm->restoreState(r);
-                if (!r.atEnd())
-                    throw SnapshotError(
-                        "trailing bytes after SM " +
-                        std::to_string(sm_id) +
-                        " state in resume snapshot");
-            }
-        },
-        options.threads);
+    // Cell construction is the expensive part of a first leg (allocator
+    // prepare() runs liveness analysis; a resumed cell replays the
+    // global-memory diff), so it runs inside the parallel leg.
+    auto build = [&](int sm_id, SmCell &cell) {
+        RM_PROF_SCOPE_ARG(ProfPhase::GpuCellBuild, sm_id);
+        cell.prepared = factory(config, program);
+        fatalIf(!cell.prepared.allocator,
+                "Gpu: allocator factory returned null");
+        cell.policy = cell.prepared.allocator->name();
+        const ObsSinks sinks = options.sinksForSm
+                                   ? options.sinksForSm(sm_id)
+                                   : (sm_id == 0 ? options.obs : ObsSinks{});
+        // Each SM owns its memory partition: seed memSeed + smId keeps
+        // SM 0 identical to the single-SM model while the other slices
+        // see distinct (deterministic) data.
+        cell.gmem = std::make_unique<GlobalMemory>(
+            options.log2MemWords,
+            options.memSeed + static_cast<std::uint64_t>(sm_id));
+        // The fault plan applies to the selected SM only (-1: all SMs);
+        // the other SMs get the inert default plan.
+        const bool faulted =
+            options.fault.active() &&
+            (options.faultSm < 0 || options.faultSm == sm_id);
+        cell.sm = std::make_unique<Sm>(
+            config, program, *cell.prepared.allocator, cell.ctas,
+            *cell.gmem, std::move(cell.prepared.mapper), sinks.trace,
+            sinks.metrics, sinks.sampler, sm_id,
+            faulted ? options.fault : FaultPlan{});
+        if (resume != nullptr) {
+            SnapshotReader r(
+                resume->sms[static_cast<std::size_t>(sm_id)].state);
+            cell.sm->restoreState(r);
+            if (!r.atEnd())
+                throw SnapshotError("trailing bytes after SM " +
+                                    std::to_string(sm_id) +
+                                    " state in resume snapshot");
+        }
+    };
 
     // Serialize the whole machine. Runs between legs on the engine
     // thread, so no cell is being simulated concurrently.
@@ -335,7 +245,7 @@ Gpu::runControlled(int sms)
         snap.configDigest = digest;
         snap.sms.resize(static_cast<std::size_t>(sms));
         for (int i = 0; i < sms; ++i) {
-            SmCell &cell = cells[static_cast<std::size_t>(i)];
+            const SmCell &cell = cells[static_cast<std::size_t>(i)];
             GpuSnapshot::SmEntry &entry =
                 snap.sms[static_cast<std::size_t>(i)];
             entry.smId = i;
@@ -347,8 +257,8 @@ Gpu::runControlled(int sms)
                 cell.sm->saveState(w);
                 entry.state = w.take();
             }
-            if (cell.prepared.allocator)
-                snap.policy = cell.prepared.allocator->name();
+            if (!cell.policy.empty())
+                snap.policy = cell.policy;
         }
         return snap;
     };
@@ -366,6 +276,8 @@ Gpu::runControlled(int sms)
                 SmCell &cell = cells[static_cast<std::size_t>(sm_id)];
                 if (cell.finished)
                     return;
+                if (!cell.sm)
+                    build(sm_id, cell);
                 RM_PROF_SCOPE_ARG(ProfPhase::GpuSmRun, sm_id);
                 RunControl leg = options.control;
                 if (options.snapshotEvery > 0) {
@@ -376,8 +288,13 @@ Gpu::runControlled(int sms)
                                         : std::min(leg.maxCycles, target);
                 }
                 cell.outcome = cell.sm->runControlled(leg);
-                if (!cell.outcome.preempted)
+                if (!cell.outcome.preempted) {
                     cell.finished = true;
+                    cell.finishedStats = cell.sm->currentStats();
+                    cell.sm.reset();
+                    cell.gmem.reset();
+                    cell.prepared = PreparedAllocator{};
+                }
             },
             options.threads);
 

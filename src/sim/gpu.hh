@@ -144,8 +144,8 @@ struct GpuOptions
     int faultSm = 0;
     /**
      * Per-SM observability sinks; overrides `obs` when set. Called
-     * once per SM id before launch, from the launching thread. The
-     * returned sinks must not be shared between SMs.
+     * once per SM id when its cell is built, possibly on a pool
+     * thread. The returned sinks must not be shared between SMs.
      */
     std::function<ObsSinks(int smId)> sinksForSm;
     /**
@@ -153,8 +153,8 @@ struct GpuOptions
      * maxCycles bounds every SM's simulated clock; the cancellation
      * token and wall deadline are checked at epoch boundaries;
      * control.sanitize enables the per-epoch register-accounting
-     * audit. A default-constructed control leaves the fast streaming
-     * path untouched.
+     * audit; control.skipAhead = false forces the per-cycle loop. A
+     * default-constructed control runs every SM in one leg.
      */
     RunControl control;
     /**
@@ -222,13 +222,15 @@ class Gpu
     Gpu(const GpuConfig &config, const Program &program,
         AllocatorFactory factory, GpuOptions options = {});
 
-    /** Simulate all SMs to completion and merge their statistics. */
+    /**
+     * Simulate all SMs in legs (one per SM unless snapshots or limits
+     * cut it) and merge their statistics. Each SM's cell is built in
+     * its first leg and freed as soon as the SM finishes. Throws
+     * KernelDoesNotFitError when the kernel cannot place one CTA.
+     */
     GpuResult run();
 
   private:
-    SimStats runOneSm(int sm_id, int ctas) const;
-    GpuResult runControlled(int sms);
-
     const GpuConfig &config;
     const Program &program;
     AllocatorFactory factory;

@@ -1,7 +1,6 @@
 #include "sim/sm.hh"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/errors.hh"
 #include "isa/disasm.hh"
@@ -13,22 +12,32 @@ namespace rm {
 
 namespace {
 
-/** Process-wide skip-ahead switch (see Sm::setSkipAhead). */
-std::atomic<bool> s_skip_ahead{true};
+/** Registry names of the engine counters, in engineCounts() order. */
+constexpr const char *kEngineCounterNames[] = {
+    "issue.slots_issued",    "issue.idle_slots",
+    "issue.instructions",    "stall.scoreboard",
+    "stall.mem_structural",  "stall.barrier",
+    "stall.acquire",         "stall.resource",
+    "stall.no_warp",         "srp.acquire_attempts",
+    "srp.acquire_successes", "srp.acquire_blocked",
+    "srp.releases",          "sim.emergency_spills",
+};
+
+/** The SimStats values the engine counters mirror. Every attempt is a
+ *  success or a block, so blocked acquires are the difference. */
+std::array<std::uint64_t, std::size(kEngineCounterNames)>
+engineCounts(const SimStats &s)
+{
+    return {s.issuedSlots,         s.idleSchedulerSlots,
+            s.instructions,        s.scoreboardStalls,
+            s.memStructuralStalls, s.barrierStalls,
+            s.acquireStalls,       s.resourceStalls,
+            s.noWarpStalls,        s.acquireAttempts,
+            s.acquireSuccesses,    s.acquireAttempts - s.acquireSuccesses,
+            s.releases,            s.emergencySpills};
+}
 
 } // namespace
-
-void
-Sm::setSkipAhead(bool enabled)
-{
-    s_skip_ahead.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-Sm::skipAheadEnabled()
-{
-    return s_skip_ahead.load(std::memory_order_relaxed);
-}
 
 Sm::Sm(const GpuConfig &gpu_config, const Program &kernel,
        RegisterAllocator &alloc, int ctas_to_run, GlobalMemory &global_mem,
@@ -48,21 +57,10 @@ Sm::Sm(const GpuConfig &gpu_config, const Program &kernel,
       fault(fault_plan),
       events(static_cast<std::uint64_t>(gpu_config.globalLatency) * 4 + 64)
 {
+    static_assert(std::size(kEngineCounterNames) == kNumEngineCounters);
     if (metrics) {
-        met.issued = &metrics->counter("issue.slots_issued");
-        met.idleSlots = &metrics->counter("issue.idle_slots");
-        met.instructions = &metrics->counter("issue.instructions");
-        met.stallScoreboard = &metrics->counter("stall.scoreboard");
-        met.stallMem = &metrics->counter("stall.mem_structural");
-        met.stallBarrier = &metrics->counter("stall.barrier");
-        met.stallAcquire = &metrics->counter("stall.acquire");
-        met.stallResource = &metrics->counter("stall.resource");
-        met.stallNoWarp = &metrics->counter("stall.no_warp");
-        met.acquireAttempts = &metrics->counter("srp.acquire_attempts");
-        met.acquireSuccesses = &metrics->counter("srp.acquire_successes");
-        met.acquireBlocked = &metrics->counter("srp.acquire_blocked");
-        met.releases = &metrics->counter("srp.releases");
-        met.emergencySpills = &metrics->counter("sim.emergency_spills");
+        for (std::size_t i = 0; i < kNumEngineCounters; ++i)
+            met.engine[i] = &metrics->counter(kEngineCounterNames[i]);
         met.srpHolders = &metrics->gauge("srp.holders");
         met.residentWarps = &metrics->gauge("warps.resident");
         met.residentCtas = &metrics->gauge("ctas.resident");
@@ -142,6 +140,10 @@ Sm::computeResidentCap()
     const Occupancy other = computeOccupancy(
         config, 0, program.info.ctaThreads, program.info.sharedBytesPerCta);
     const int by_regs = allocator.maxCtasByRegisters();
+    fatalIf<KernelDoesNotFitError>(
+        by_regs <= 0, "kernel '", program.info.name,
+        "' does not fit the register file under policy '",
+        allocator.name(), "'");
     residentCap = std::min(other.ctasPerSm, by_regs);
 
     stats.kernelName = program.info.name;
@@ -415,11 +417,8 @@ Sm::issue(int slot)
                 RM_PROF_SCOPE(ProfPhase::SmAcqRel);
                 outcome = allocator.acquire(warp);
             }
-            if (outcome != AcquireOutcome::AlreadyHeld) {
+            if (outcome != AcquireOutcome::AlreadyHeld)
                 ++stats.acquireAttempts;
-                if (met.acquireAttempts)
-                    met.acquireAttempts->add();
-            }
             if (trace) {
                 trace->record(TraceEvent{
                     cycle, slot, warp.ctaId, pc,
@@ -429,11 +428,10 @@ Sm::issue(int slot)
             }
             switch (outcome) {
               case AcquireOutcome::Blocked:
-                if (met.acquireBlocked) {
-                    met.acquireBlocked->add();
-                    if (warp.acquireWaitSince == 0)
-                        warp.acquireWaitSince = cycle;
-                }
+                // Stamped with or without a registry attached: the
+                // field is part of the snapshot image.
+                if (warp.acquireWaitSince == 0)
+                    warp.acquireWaitSince = cycle;
                 if (config.wakeOnRelease) {
                     park(slot, WarpState::WaitAcquire);
                 } else {
@@ -448,23 +446,20 @@ Sm::issue(int slot)
                 return;
               case AcquireOutcome::Acquired:
                 ++stats.acquireSuccesses;
-                if (met.acquireSuccesses) {
-                    met.acquireSuccesses->add();
+                if (met.acquireWait) {
                     met.srpHolders->add();
                     met.acquireWait->observe(
                         warp.acquireWaitSince == 0
                             ? 0
                             : cycle - warp.acquireWaitSince);
-                    warp.acquireWaitSince = 0;
                 }
+                warp.acquireWaitSince = 0;
                 break;
               case AcquireOutcome::AlreadyHeld:
                 ++stats.acquireAlreadyHeld;
                 break;
               case AcquireOutcome::NotNeeded:
                 ++stats.acquireSuccesses;
-                if (met.acquireSuccesses)
-                    met.acquireSuccesses->add();
                 break;
             }
         } else {
@@ -487,11 +482,8 @@ Sm::issue(int slot)
                 allocator.release(warp);
             }
             ++stats.releases;
-            if (met.releases) {
-                met.releases->add();
-                if (held && !warp.holdsExt)
-                    met.srpHolders->sub();
-            }
+            if (met.srpHolders && held && !warp.holdsExt)
+                met.srpHolders->sub();
             if (trace) {
                 trace->record(TraceEvent{cycle, slot, warp.ctaId,
                                          pc, TraceKind::Release});
@@ -501,10 +493,6 @@ Sm::issue(int slot)
         ++warp.instructions;
         ++stats.instructions;
         ++stats.issuedSlots;
-        if (met.issued) {
-            met.issued->add();
-            met.instructions->add();
-        }
         lastProgressCycle = cycle;
         return;
     }
@@ -522,10 +510,6 @@ Sm::issue(int slot)
         ++warp.instructions;
         ++stats.instructions;
         ++stats.issuedSlots;
-        if (met.issued) {
-            met.issued->add();
-            met.instructions->add();
-        }
         lastProgressCycle = cycle;
         if (cta.barrierArrived >= cta.warpsAlive)
             releaseBarrier(cta);
@@ -543,10 +527,6 @@ Sm::issue(int slot)
     ++warp.instructions;
     ++stats.instructions;
     ++stats.issuedSlots;
-    if (met.issued) {
-        met.issued->add();
-        met.instructions->add();
-    }
     lastProgressCycle = cycle;
     warps.setPc(slot, step.nextPc);
 
@@ -676,12 +656,22 @@ Sm::schedule(int scheduler)
     const bool gto = config.schedPolicy == SchedPolicy::Gto;
     const int num_slots = config.maxWarpsPerSm;
     const int stride = config.numSchedulers;
-    // GTO breaks ties by age; LRR rotates from the last issued slot.
-    const auto key = [&](int slot) -> std::uint64_t {
-        if (gto)
-            return warps.warp(slot).launchOrder;
-        return static_cast<std::uint64_t>(
-            (slot - last - 1 + 2 * num_slots) % num_slots);
+    // An issuable candidate: higher policy priority wins, then GTO
+    // breaks ties by age and LRR rotates from the last issued slot.
+    const auto consider = [&](int slot) {
+        const int priority =
+            allocBiasesPriority ? allocator.schedPriority(warps.warp(slot))
+                                : 0;
+        const std::uint64_t slot_key =
+            gto ? warps.warp(slot).launchOrder
+                : static_cast<std::uint64_t>(
+                      (slot - last - 1 + 2 * num_slots) % num_slots);
+        if (best < 0 || priority > best_priority ||
+            (priority == best_priority && slot_key < best_key)) {
+            best = slot;
+            best_priority = priority;
+            best_key = slot_key;
+        }
     };
     if (masks) {
         // Fast scan: iterate set bits of the incrementally maintained
@@ -706,17 +696,7 @@ Sm::schedule(int scheduler)
                     park(slot, WarpState::WaitResource);
                 continue;
             }
-            const int priority =
-                allocBiasesPriority
-                    ? allocator.schedPriority(warps.warp(slot))
-                    : 0;
-            const std::uint64_t slot_key = key(slot);
-            if (best < 0 || priority > best_priority ||
-                (priority == best_priority && slot_key < best_key)) {
-                best = slot;
-                best_priority = priority;
-                best_key = slot_key;
-            }
+            consider(slot);
         }
         // sample_reason is the verdict of the lowest blocked slot —
         // the first one the sweep would have visited.
@@ -752,17 +732,7 @@ Sm::schedule(int scheduler)
                     park(slot, WarpState::WaitResource);
                 continue;
             }
-            const int priority =
-                allocBiasesPriority
-                    ? allocator.schedPriority(warps.warp(slot))
-                    : 0;
-            const std::uint64_t slot_key = key(slot);
-            if (best < 0 || priority > best_priority ||
-                (priority == best_priority && slot_key < best_key)) {
-                best = slot;
-                best_priority = priority;
-                best_key = slot_key;
-            }
+            consider(slot);
         }
     }
 
@@ -774,65 +744,57 @@ Sm::schedule(int scheduler)
     }
 
     // Nothing issued: account the stall.
-    ++stats.idleSchedulerSlots;
-    if (met.idleSlots)
-        met.idleSlots->add();
     schedLastIssued[scheduler] = -1;
+    bookIdle(scheduler, saw_ready, sample_reason, 1);
+}
+
+void
+Sm::bookIdle(int scheduler, bool saw_ready, BlockReason sample_reason,
+             std::uint64_t n)
+{
+    stats.idleSchedulerSlots += n;
     if (saw_ready) {
         switch (sample_reason) {
           case BlockReason::Scoreboard:
-            ++stats.scoreboardStalls;
-            if (met.stallScoreboard)
-                met.stallScoreboard->add();
+            stats.scoreboardStalls += n;
             break;
           case BlockReason::MemStructural:
-            ++stats.memStructuralStalls;
-            if (met.stallMem)
-                met.stallMem->add();
+            stats.memStructuralStalls += n;
             break;
           case BlockReason::Resource:
-            ++stats.resourceStalls;
-            if (met.stallResource)
-                met.stallResource->add();
+            stats.resourceStalls += n;
             break;
           default:
             break;
         }
-    } else {
-        // Classify by what the candidate warps are waiting on.
-        bool any = false;
-        for (int slot = scheduler; slot < config.maxWarpsPerSm;
-             slot += config.numSchedulers) {
-            if (warps.warp(slot).ctaSlot < 0)
-                continue;
-            any = true;
-            const WarpState state = warps.state(slot);
-            if (state == WarpState::WaitBarrier) {
-                ++stats.barrierStalls;
-                if (met.stallBarrier)
-                    met.stallBarrier->add();
-                return;
-            }
-            if (state == WarpState::WaitAcquire) {
-                ++stats.acquireStalls;
-                if (met.stallAcquire)
-                    met.stallAcquire->add();
-                return;
-            }
-            if (state == WarpState::WaitResource ||
-                state == WarpState::WaitSpill) {
-                ++stats.resourceStalls;
-                if (met.stallResource)
-                    met.stallResource->add();
-                return;
-            }
+        return;
+    }
+    // Classify by what the candidate warps are waiting on: the first
+    // one in slot order decides (Finished warps count as candidates but
+    // match no wait class).
+    bool any = false;
+    for (int slot = scheduler; slot < config.maxWarpsPerSm;
+         slot += config.numSchedulers) {
+        if (warps.warp(slot).ctaSlot < 0)
+            continue;
+        any = true;
+        const WarpState state = warps.state(slot);
+        if (state == WarpState::WaitBarrier) {
+            stats.barrierStalls += n;
+            return;
         }
-        if (!any) {
-            ++stats.noWarpStalls;
-            if (met.stallNoWarp)
-                met.stallNoWarp->add();
+        if (state == WarpState::WaitAcquire) {
+            stats.acquireStalls += n;
+            return;
+        }
+        if (state == WarpState::WaitResource ||
+            state == WarpState::WaitSpill) {
+            stats.resourceStalls += n;
+            return;
         }
     }
+    if (!any)
+        stats.noWarpStalls += n;
 }
 
 Sm::Starvation
@@ -847,44 +809,30 @@ Sm::handleStarvation()
     if (!events.empty() || !memQueue.empty())
         return Starvation::Waiting;
 
-    int blocked_resource = 0;
-    int blocked_acquire = 0;
-    int blocked_barrier = 0;
-    int others = 0;
+    // A Ready or WaitSpill warp can still make progress. Acquire and
+    // barrier waiters cannot on their own; with no events pending they
+    // are part of the wedge, and only resource waiters can be helped.
     int oldest_resource = -1;
     for (int slot = 0; slot < config.maxWarpsPerSm; ++slot) {
-        const WarpState state = warps.state(slot);
-        if (warps.warp(slot).ctaSlot < 0 ||
-            state == WarpState::Finished || state == WarpState::Unused) {
+        if (warps.warp(slot).ctaSlot < 0)
             continue;
-        }
-        switch (state) {
+        switch (warps.state(slot)) {
+          case WarpState::Ready:
+          case WarpState::WaitSpill:
+            return Starvation::Runnable;
           case WarpState::WaitResource:
-            ++blocked_resource;
             if (oldest_resource < 0 ||
                 warps.warp(slot).launchOrder <
                     warps.warp(oldest_resource).launchOrder) {
                 oldest_resource = slot;
             }
             break;
-          case WarpState::WaitAcquire:
-            ++blocked_acquire;
-            break;
-          case WarpState::WaitBarrier:
-            // Barrier waiters cannot make progress on their own; with
-            // no events pending they are part of the wedge.
-            ++blocked_barrier;
-            break;
           default:
-            ++others;  // Ready / WaitSpill: progress is still possible
             break;
         }
     }
 
-    if (others > 0)
-        return Starvation::Runnable;
-
-    if (blocked_resource > 0 && oldest_resource >= 0) {
+    if (oldest_resource >= 0) {
         SimWarp &oldest = warps.warp(oldest_resource);
         const int penalty =
             allocator.forceProgress(oldest, warps.pc(oldest_resource));
@@ -894,8 +842,6 @@ Sm::handleStarvation()
                                  kNoReg, false, true,
                                  oldest.launchOrder});
             ++stats.emergencySpills;
-            if (met.emergencySpills)
-                met.emergencySpills->add();
             return Starvation::BreakerFired;
         }
     }
@@ -904,46 +850,31 @@ Sm::handleStarvation()
     // help (or nothing was resource-blocked): the SM is deadlocked.
     // Record the forensics snapshot with the root-cause classification.
     stats.deadlocked = true;
-    stats.deadlockCause =
-        classifyWedge(blocked_acquire, blocked_resource, blocked_barrier);
+    stats.deadlockCause = classifyWedge();
     stats.hang = captureDiagnosis(stats.deadlockCause, false);
     return Starvation::Deadlocked;
 }
 
 DeadlockCause
-Sm::classifyWedge(int blocked_acquire, int blocked_resource,
-                  int blocked_barrier) const
+Sm::classifyWedge() const
 {
     // Precedence, not majority: one warp parked on an acquire that
     // will never be granted is the root cause even when every other
     // warp piles up behind a barrier waiting for it.
-    if (blocked_acquire > 0)
-        return DeadlockCause::Acquire;
-    if (blocked_resource > 0)
-        return DeadlockCause::Resource;
-    if (blocked_barrier > 0)
-        return DeadlockCause::Barrier;
-    return DeadlockCause::None;
-}
-
-DeadlockCause
-Sm::classifyWedgeNow() const
-{
-    int acquire = 0;
-    int resource = 0;
-    int barrier = 0;
+    bool resource = false;
+    bool barrier = false;
     for (int slot = 0; slot < config.maxWarpsPerSm; ++slot) {
         if (warps.warp(slot).ctaSlot < 0)
             continue;
         const WarpState state = warps.state(slot);
         if (state == WarpState::WaitAcquire)
-            ++acquire;
-        else if (state == WarpState::WaitResource)
-            ++resource;
-        else if (state == WarpState::WaitBarrier)
-            ++barrier;
+            return DeadlockCause::Acquire;
+        resource = resource || state == WarpState::WaitResource;
+        barrier = barrier || state == WarpState::WaitBarrier;
     }
-    return classifyWedge(acquire, resource, barrier);
+    if (resource)
+        return DeadlockCause::Resource;
+    return barrier ? DeadlockCause::Barrier : DeadlockCause::None;
 }
 
 std::shared_ptr<const HangDiagnosis>
@@ -1030,7 +961,7 @@ Sm::runControlled(const RunControl &control)
         launchCtas();
     }
     const bool epoch_work = control.epochWork();
-    const bool skip_ok = skipAheadEnabled() && sampler == nullptr;
+    const bool skip_ok = control.skipAhead && sampler == nullptr;
 
     while (stats.ctasCompleted < static_cast<std::uint64_t>(ctasToRun)) {
         // The cycle budget is checked every cycle so a snapshot can be
@@ -1098,8 +1029,10 @@ Sm::runControlled(const RunControl &control)
         residentIntegral += aliveWarps;
         if (met.residentWarps)
             met.residentWarps->set(aliveWarps);
-        if (sampler)
-            sampler->tick(cycle);
+        if (sampler && sampler->due(cycle)) {
+            publishMetrics();
+            sampler->snapshot(cycle);
+        }
 
         if (stats.issuedSlots == issued_before) {
             // No instruction issued: check for a wedged SM.
@@ -1129,7 +1062,7 @@ Sm::runControlled(const RunControl &control)
             if (cycle - lastProgressCycle >
                 static_cast<std::uint64_t>(config.watchdogCycles)) {
                 const auto diag = captureDiagnosis(
-                    classifyWedgeNow(), true);
+                    classifyWedge(), true);
                 throw SimulationError(diag->summary(), diag);
             }
             // Idle cycle with nothing in flight but wheel events: jump
@@ -1197,86 +1130,21 @@ Sm::accountIdleCycles(std::uint64_t n)
 {
     // Closed-form replay of schedule()'s nothing-issued path for n
     // cycles of frozen machine state (schedLastIssued is already -1
-    // for every scheduler after an executed idle cycle).
+    // for every scheduler after an executed idle cycle). The first
+    // blocked Ready warp in slot order decides the sample.
     for (int scheduler = 0; scheduler < config.numSchedulers;
          ++scheduler) {
-        stats.idleSchedulerSlots += n;
-        if (met.idleSlots)
-            met.idleSlots->add(n);
-
-        // First blocked Ready warp in slot order decides the sample.
         BlockReason sample_reason = BlockReason::None;
         for (int slot = scheduler; slot < config.maxWarpsPerSm;
              slot += config.numSchedulers) {
-            if (warps.state(slot) != WarpState::Ready ||
-                warps.warp(slot).ctaSlot < 0) {
-                continue;
-            }
-            sample_reason = issueBlocked(slot);
-            break;
-        }
-        if (sample_reason != BlockReason::None) {
-            switch (sample_reason) {
-              case BlockReason::Scoreboard:
-                stats.scoreboardStalls += n;
-                if (met.stallScoreboard)
-                    met.stallScoreboard->add(n);
-                break;
-              case BlockReason::MemStructural:
-                stats.memStructuralStalls += n;
-                if (met.stallMem)
-                    met.stallMem->add(n);
-                break;
-              case BlockReason::Resource:
-                stats.resourceStalls += n;
-                if (met.stallResource)
-                    met.stallResource->add(n);
-                break;
-              default:
-                break;
-            }
-            continue;
-        }
-
-        // No Ready warp: classify by the first waiting candidate, in
-        // slot order (Finished warps count as candidates but match no
-        // wait class — exactly like schedule()).
-        bool any = false;
-        bool counted = false;
-        for (int slot = scheduler; slot < config.maxWarpsPerSm;
-             slot += config.numSchedulers) {
-            if (warps.warp(slot).ctaSlot < 0)
-                continue;
-            any = true;
-            const WarpState state = warps.state(slot);
-            if (state == WarpState::WaitBarrier) {
-                stats.barrierStalls += n;
-                if (met.stallBarrier)
-                    met.stallBarrier->add(n);
-                counted = true;
-                break;
-            }
-            if (state == WarpState::WaitAcquire) {
-                stats.acquireStalls += n;
-                if (met.stallAcquire)
-                    met.stallAcquire->add(n);
-                counted = true;
-                break;
-            }
-            if (state == WarpState::WaitResource ||
-                state == WarpState::WaitSpill) {
-                stats.resourceStalls += n;
-                if (met.stallResource)
-                    met.stallResource->add(n);
-                counted = true;
+            if (warps.state(slot) == WarpState::Ready &&
+                warps.warp(slot).ctaSlot >= 0) {
+                sample_reason = issueBlocked(slot);
                 break;
             }
         }
-        if (!any && !counted) {
-            stats.noWarpStalls += n;
-            if (met.stallNoWarp)
-                met.stallNoWarp->add(n);
-        }
+        bookIdle(scheduler, sample_reason != BlockReason::None,
+                 sample_reason, n);
     }
 }
 
@@ -1288,6 +1156,18 @@ Sm::finishStats()
         cycle == 0 ? 0.0
                    : static_cast<double>(residentIntegral) / cycle;
     stats.lockAcquisitions = allocator.lockCount();
+    publishMetrics();
+}
+
+void
+Sm::publishMetrics()
+{
+    if (met.engine[0] == nullptr)
+        return;
+    const EngineCounts now = engineCounts(stats);
+    for (std::size_t i = 0; i < kNumEngineCounters; ++i)
+        met.engine[i]->add(now[i] - published[i]);
+    published = now;
 }
 
 void
@@ -1382,7 +1262,7 @@ Sm::auditEpoch()
     report.cycle = cycle;
     report.violations = std::move(violations);
     throw SanitizerError(std::move(report),
-                         captureDiagnosis(classifyWedgeNow(), false));
+                         captureDiagnosis(classifyWedge(), false));
 }
 
 namespace {
@@ -1565,6 +1445,7 @@ Sm::restoreState(SnapshotReader &r)
     aliveWarps = r.i32();
     pendingConflictPenalty = r.i32();
     stats = loadStats(r);
+    published = engineCounts(stats);
 
     const std::uint32_t num_warps = r.u32();
     if (num_warps != static_cast<std::uint32_t>(warps.numSlots()))

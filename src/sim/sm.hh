@@ -21,6 +21,7 @@
  * this against pre-refactor goldens).
  */
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -95,6 +96,7 @@ class Sm
      * violation. Callable repeatedly: a preempted Sm resumes exactly
      * where it stopped. With a default-constructed control this is
      * run() and pays no per-cycle overhead beyond one branch.
+     * control.skipAhead = false forces the per-cycle path (same stats).
      */
     SmRunOutcome runControlled(const RunControl &control);
 
@@ -116,7 +118,8 @@ class Sm
      * memory queues, scheduler position, allocator state, memory diff,
      * stats) so that restoreState() + runControlled() is bit-identical
      * to an uninterrupted run. Records a Snapshot trace event and bumps
-     * the sim.snapshots counter (neither touches SimStats).
+     * the sim.snapshots counter (neither touches SimStats). The bytes
+     * do not depend on which sinks are attached.
      */
     void saveState(SnapshotWriter &w) const;
 
@@ -128,17 +131,10 @@ class Sm
      * slab layout and v2 per-warp register vectors (the two warp
      * encodings are wire-compatible; v2 register images of
      * non-resident slots are discarded, which is behaviour-neutral —
-     * a relaunch always zero-fills).
+     * a relaunch always zero-fills). Registry counters published
+     * afterwards count only post-restore events.
      */
     void restoreState(SnapshotReader &r);
-
-    /**
-     * Process-wide skip-ahead toggle (default on). Exists so the
-     * equivalence tests can run the same workload with and without the
-     * fast path and assert bit-identical SimStats; not a tuning knob.
-     */
-    static void setSkipAhead(bool enabled);
-    static bool skipAheadEnabled();
 
   private:
     // --- Static context ---
@@ -151,27 +147,18 @@ class Sm
     Sampler *sampler;   ///< optional, owned by the caller
 
     /**
-     * Instrument pointers cached out of the registry at construction so
-     * the issue/stall paths pay one null-check per update site (all
-     * null when no registry is attached). See docs/OBSERVABILITY.md
-     * for the metric catalog.
+     * Instrument pointers cached out of the registry at construction
+     * (all null when no registry is attached). The engine counters are
+     * copies of SimStats fields, so they are never touched on the hot
+     * path: publishMetrics() adds the SimStats delta since its last
+     * call. The rest are live hooks with one null-check per update
+     * site. See docs/OBSERVABILITY.md for the metric catalog.
      */
+    static constexpr std::size_t kNumEngineCounters = 14;
+    using EngineCounts = std::array<std::uint64_t, kNumEngineCounters>;
     struct Instruments
     {
-        Counter *issued = nullptr;
-        Counter *idleSlots = nullptr;
-        Counter *instructions = nullptr;
-        Counter *stallScoreboard = nullptr;
-        Counter *stallMem = nullptr;
-        Counter *stallBarrier = nullptr;
-        Counter *stallAcquire = nullptr;
-        Counter *stallResource = nullptr;
-        Counter *stallNoWarp = nullptr;
-        Counter *acquireAttempts = nullptr;
-        Counter *acquireSuccesses = nullptr;
-        Counter *acquireBlocked = nullptr;
-        Counter *releases = nullptr;
-        Counter *emergencySpills = nullptr;
+        std::array<Counter *, kNumEngineCounters> engine{};
         Gauge *srpHolders = nullptr;
         Gauge *residentWarps = nullptr;
         Gauge *residentCtas = nullptr;
@@ -180,6 +167,8 @@ class Sm
         Counter *restores = nullptr;
     };
     Instruments met;
+    /** Engine counter values as of the last publishMetrics(). */
+    EngineCounts published{};
 
     const int ctasToRun;
     const int warpsPerCta;
@@ -297,6 +286,15 @@ class Sm
     void accountIdleCycles(std::uint64_t n);
 
     /**
+     * Book @p n idle slots of @p scheduler. With @p saw_ready the
+     * sampled block reason of the first blocked Ready warp classifies
+     * them; otherwise the first waiting candidate warp does (no
+     * candidate at all: a no-warp stall).
+     */
+    void bookIdle(int scheduler, bool saw_ready, BlockReason sample_reason,
+                  std::uint64_t n);
+
+    /**
      * Outcome of the starvation check (no instruction issued and no
      * event/memory activity this cycle).
      */
@@ -313,14 +311,15 @@ class Sm
     std::shared_ptr<const HangDiagnosis>
     captureDiagnosis(DeadlockCause cause, bool watchdog_expired) const;
 
-    /** Classify why the SM is wedged (Acquire > Resource > Barrier). */
-    DeadlockCause classifyWedge(int blocked_acquire, int blocked_resource,
-                                int blocked_barrier) const;
-    /** classifyWedge over the current warp states (watchdog path). */
-    DeadlockCause classifyWedgeNow() const;
+    /** Classify why the SM is wedged (Acquire > Resource > Barrier)
+     *  from the current warp states. */
+    DeadlockCause classifyWedge() const;
 
-    /** Fill the derived SimStats fields (idempotent). */
+    /** Fill the derived SimStats fields and publish (idempotent). */
     void finishStats();
+
+    /** Add the engine-counter delta since the last call to the registry. */
+    void publishMetrics();
 
     /** Sanitizer epoch audit; throws SanitizerError on violation. */
     void auditEpoch();

@@ -129,11 +129,12 @@ struct RunControl
     std::uint64_t epochCycles = 1024;
     /** Audit register-accounting invariants every epoch. */
     bool sanitize = false;
-
-    bool anyLimit() const
-    {
-        return maxCycles > 0 || cancel != nullptr || hasWallDeadline;
-    }
+    /**
+     * Jump idle spans in closed form (Sm skip-ahead). Off forces the
+     * per-cycle loop; stats are bit-identical either way, so this is
+     * the reference the engine equivalence checks compare against.
+     */
+    bool skipAhead = true;
 
     bool epochWork() const
     {

@@ -22,7 +22,6 @@
 #include "obs/export.hh"
 #include "sim/config.hh"
 #include "sim/event_wheel.hh"
-#include "sim/sm.hh"
 #include "sim/snapshot.hh"
 #include "workloads/suite.hh"
 
@@ -101,11 +100,12 @@ goldenCases()
 }
 
 PolicyRun
-runCase(const Case &c, int threads)
+runCase(const Case &c, int threads, bool skip_ahead)
 {
     Program program = buildWorkload(c.workload);
     GpuConfig config = gtx480Config();
     RunOptions options;
+    options.gpu.control.skipAhead = skip_ahead;
     if (c.fullMachine) {
         program.info.gridCtas = 13;
         config.numSms = 4;
@@ -118,24 +118,16 @@ runCase(const Case &c, int threads)
 }
 
 void
-expectMatchesGolden(const Case &c, int threads)
+expectMatchesGolden(const Case &c, int threads, bool skip_ahead = true)
 {
     const auto it = goldenStats().find(c.key);
     ASSERT_NE(it, goldenStats().end()) << "no golden for " << c.key;
-    const PolicyRun run = runCase(c, threads);
+    const PolicyRun run = runCase(c, threads, skip_ahead);
     ASSERT_TRUE(run.result.completed()) << c.key;
     EXPECT_EQ(statsToJson(run.stats()), it->second)
         << c.key << " (threads=" << threads << ") diverged from the "
         << "pre-refactor golden";
 }
-
-/** Restores the process-wide skip-ahead toggle on scope exit. */
-class SkipAheadGuard
-{
-  public:
-    explicit SkipAheadGuard(bool enabled) { Sm::setSkipAhead(enabled); }
-    ~SkipAheadGuard() { Sm::setSkipAhead(true); }
-};
 
 TEST(EngineEquivalence, MatchesPreRefactorGoldens)
 {
@@ -153,10 +145,9 @@ TEST(EngineEquivalence, FullMachineMatchesAcrossThreadCounts)
 
 TEST(EngineEquivalence, SkipAheadOffIsBitIdentical)
 {
-    SkipAheadGuard guard(false);
     for (const Case &c : goldenCases()) {
         if (!c.fullMachine)
-            expectMatchesGolden(c, 1);
+            expectMatchesGolden(c, 1, /*skip_ahead=*/false);
     }
 }
 

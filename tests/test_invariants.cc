@@ -56,7 +56,7 @@ TEST_P(StatsInvariants, AccountingIdentitiesHold)
     SimStats stats;
     try {
         stats = run();
-    } catch (const FatalError &e) {
+    } catch (const KernelDoesNotFitError &e) {
         // e.g. DWT2D's 44-register CTAs cannot fit the halved file
         // under exclusive allocation at all.
         GTEST_SKIP() << e.what();
@@ -102,7 +102,7 @@ TEST_P(StatsInvariants, RunToRunDeterminism)
     try {
         a = run();
         b = run();
-    } catch (const FatalError &e) {
+    } catch (const KernelDoesNotFitError &e) {
         GTEST_SKIP() << e.what();
     }
     EXPECT_EQ(a.cycles, b.cycles);

@@ -478,23 +478,111 @@ class ObservedRun : public ::testing::Test
     Program executed;
 };
 
+/**
+ * Every engine counter in the registry equals its SimStats field (the
+ * blocked-acquire counter: attempts that did not succeed), after
+ * subtracting the stats @p before a resumed run started from.
+ */
+void
+expectRegistryMirrorsStats(const MetricsRegistry &registry,
+                           const SimStats &s, const SimStats &before = {})
+{
+    const std::pair<const char *, std::uint64_t> expected[] = {
+        {"issue.slots_issued", s.issuedSlots - before.issuedSlots},
+        {"issue.idle_slots",
+         s.idleSchedulerSlots - before.idleSchedulerSlots},
+        {"issue.instructions", s.instructions - before.instructions},
+        {"stall.scoreboard",
+         s.scoreboardStalls - before.scoreboardStalls},
+        {"stall.mem_structural",
+         s.memStructuralStalls - before.memStructuralStalls},
+        {"stall.barrier", s.barrierStalls - before.barrierStalls},
+        {"stall.acquire", s.acquireStalls - before.acquireStalls},
+        {"stall.resource", s.resourceStalls - before.resourceStalls},
+        {"stall.no_warp", s.noWarpStalls - before.noWarpStalls},
+        {"srp.acquire_attempts",
+         s.acquireAttempts - before.acquireAttempts},
+        {"srp.acquire_successes",
+         s.acquireSuccesses - before.acquireSuccesses},
+        {"srp.acquire_blocked",
+         (s.acquireAttempts - s.acquireSuccesses) -
+             (before.acquireAttempts - before.acquireSuccesses)},
+        {"srp.releases", s.releases - before.releases},
+        {"sim.emergency_spills",
+         s.emergencySpills - before.emergencySpills},
+    };
+    for (const auto &[name, value] : expected) {
+        const auto it = registry.counters().find(name);
+        ASSERT_NE(it, registry.counters().end()) << name;
+        EXPECT_EQ(it->second.value(), value) << name;
+    }
+}
+
 TEST_F(ObservedRun, MetricsMirrorSimStats)
 {
-    EXPECT_EQ(registry.counter("issue.slots_issued").value(),
-              run.stats.issuedSlots);
-    EXPECT_EQ(registry.counter("srp.acquire_attempts").value(),
-              run.stats.acquireAttempts);
-    EXPECT_EQ(registry.counter("srp.acquire_successes").value(),
-              run.stats.acquireSuccesses);
-    EXPECT_EQ(registry.counter("srp.releases").value(),
-              run.stats.releases);
-    EXPECT_EQ(registry.counter("stall.scoreboard").value(),
-              run.stats.scoreboardStalls);
+    expectRegistryMirrorsStats(registry, run.stats);
     // Every successful acquire observed a wait (possibly zero cycles).
     EXPECT_EQ(registry.histogram("srp.acquire_wait_cycles").count(),
               run.stats.acquireSuccesses);
     // All SRP sections released by the end of the run.
     EXPECT_EQ(registry.gauge("srp.holders").value(), 0);
+}
+
+/** BFS under RegMutex with denied acquires, so the blocked-acquire,
+ *  acquire-stall and wait-histogram paths all see traffic. */
+RunOptions
+deniedAcquireOptions()
+{
+    RunOptions options;
+    options.gpu.fault.denyAcquire = {20000, 30000};
+    return options;
+}
+
+TEST(ObservedLegs, MetricsMirrorSimStatsAcrossLegs)
+{
+    // Periodic snapshots cut the run into legs; the registry is
+    // published at every leg end and must still mirror the final stats
+    // exactly, like a one-leg run's does.
+    const Program p = buildWorkload("BFS");
+    RunOptions options = deniedAcquireOptions();
+    MetricsRegistry one_leg;
+    options.gpu.obs.metrics = &one_leg;
+    const PolicyRun ref = runPolicy("regmutex", p, gtx480Config(), options);
+    ASSERT_TRUE(ref.result.completed());
+    EXPECT_GT(ref.stats().acquireAttempts, ref.stats().acquireSuccesses);
+    expectRegistryMirrorsStats(one_leg, ref.stats());
+
+    MetricsRegistry legs;
+    Sampler sampler(legs, 250);
+    int captures = 0;
+    options.gpu.obs.metrics = &legs;
+    options.gpu.obs.sampler = &sampler;
+    options.gpu.snapshotEvery = 40000;
+    options.gpu.snapshotSink = [&](const GpuSnapshot &) { ++captures; };
+    const PolicyRun run = runPolicy("regmutex", p, gtx480Config(), options);
+    ASSERT_TRUE(run.result.completed());
+    EXPECT_GT(captures, 2);
+    EXPECT_EQ(run.stats(), ref.stats());
+    expectRegistryMirrorsStats(legs, run.stats());
+}
+
+TEST(ObservedLegs, ResumedRunCountsOnlyPostResumeEvents)
+{
+    const Program p = buildWorkload("BFS");
+    RunOptions cut = deniedAcquireOptions();
+    cut.gpu.control.maxCycles = 25000;
+    const PolicyRun preempted = runPolicy("regmutex", p, gtx480Config(), cut);
+    ASSERT_FALSE(preempted.result.completed());
+
+    RunOptions resume = deniedAcquireOptions();
+    MetricsRegistry registry;
+    resume.gpu.obs.metrics = &registry;
+    resume.gpu.resume = preempted.result.snapshot;
+    const PolicyRun resumed =
+        runPolicy("regmutex", p, gtx480Config(), resume);
+    ASSERT_TRUE(resumed.result.completed());
+    expectRegistryMirrorsStats(registry, resumed.stats(), preempted.stats());
+    EXPECT_EQ(registry.counters().at("sim.restores").value(), 1u);
 }
 
 TEST_F(ObservedRun, SamplerCoversTheRun)

@@ -28,6 +28,8 @@
 #include "core/policy.hh"
 #include "core/sweep.hh"
 #include "isa/builder.hh"
+#include "obs/metrics.hh"
+#include "obs/sampler.hh"
 #include "sim/config.hh"
 #include "sim/gpu.hh"
 #include "sim/sanitizer.hh"
@@ -409,6 +411,32 @@ TEST(KillResumeDetail, PeriodicSnapshotsDoNotPerturbStats)
     const PolicyRun resumed =
         runPolicy("regmutex", program, config, resume_options);
     EXPECT_EQ(resumed.stats(), ref.stats());
+}
+
+TEST(KillResumeDetail, SnapshotBytesDoNotDependOnSinks)
+{
+    // Denied acquires leave warps mid-wait at the cut, so the image
+    // carries their acquire-wait stamps; a registry and sampler
+    // watching the run must not change a byte of it.
+    const Program program = buildWorkload("BFS");
+    RunOptions options;
+    options.gpu.fault.denyAcquire = {20000, 30000};
+    options.gpu.control.maxCycles = 25000;
+    const PolicyRun bare =
+        runPolicy("regmutex", program, gtx480Config(), options);
+
+    MetricsRegistry registry;
+    Sampler sampler(registry, 100);
+    options.gpu.obs.metrics = &registry;
+    options.gpu.obs.sampler = &sampler;
+    const PolicyRun observed =
+        runPolicy("regmutex", program, gtx480Config(), options);
+
+    ASSERT_NE(bare.result.snapshot, nullptr);
+    ASSERT_NE(observed.result.snapshot, nullptr);
+    EXPECT_GT(registry.counters().at("srp.acquire_blocked").value(), 0u);
+    EXPECT_EQ(bare.result.snapshot->serialize(),
+              observed.result.snapshot->serialize());
 }
 
 // --- Preemption triggers ---
