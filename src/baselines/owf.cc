@@ -10,6 +10,7 @@ namespace rm {
 void
 OwfAllocator::prepare(const GpuConfig &config, const Program &program)
 {
+    prog = &program;
     enabled = program.regmutex.enabled();
     freed = false;
     locksTaken = 0;
@@ -94,9 +95,10 @@ OwfAllocator::referencesShared(const Instruction &inst) const
 }
 
 bool
-OwfAllocator::canIssue(const SimWarp &warp, const Instruction &inst) const
+OwfAllocator::canIssue(const SimWarp &warp, int pc) const
 {
-    if (!enabled || warp.ownsLock || !referencesShared(inst))
+    if (!enabled || warp.ownsLock ||
+        !referencesShared(prog->code[static_cast<std::size_t>(pc)]))
         return true;
     const int owner = holder[pairOf(warp.slot)];
     return owner < 0 || owner == warp.slot;

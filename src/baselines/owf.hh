@@ -42,8 +42,7 @@ class OwfAllocator : public RegisterAllocator
     void prepare(const GpuConfig &config, const Program &program) override;
     int maxCtasByRegisters() const override { return maxCtas; }
 
-    bool canIssue(const SimWarp &warp,
-                  const Instruction &inst) const override;
+    bool canIssue(const SimWarp &warp, int pc) const override;
     // Both the pair lock and owner-warp-first only act once the policy
     // is enabled (a kernel that needs no shared set never gates).
     bool gatesIssue() const override { return enabled; }
@@ -69,6 +68,7 @@ class OwfAllocator : public RegisterAllocator
     int lockHolder(int pair) const { return holder[pair]; }
 
   private:
+    const Program *prog = nullptr;
     bool enabled = false;
     int thresh = 0;    ///< registers at or above share within the pair
     int maxCtas = 0;

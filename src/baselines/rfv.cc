@@ -28,57 +28,32 @@ RfvAllocator::prepare(const GpuConfig &config, const Program &program)
     // pc and absent from live-out dies when pc issues.
     const Cfg cfg = Cfg::build(program);
     const Liveness liveness = Liveness::compute(program, cfg);
-    deaths.assign(program.code.size(), {});
+    regWords = (program.info.numRegs + 63) / 64;
+    const std::size_t words = static_cast<std::size_t>(regWords);
+    opMaskByPc.assign(program.code.size() * words, 0);
+    opCountByPc.assign(program.code.size(), 0);
+    deathMaskByPc.assign(program.code.size() * words, 0);
     for (std::size_t i = 0; i < program.code.size(); ++i) {
         const Instruction &inst = program.code[i];
-        const int idx = static_cast<int>(i);
-        auto dies = [&](RegId r) {
-            return !liveness.isLiveOut(idx, r);
-        };
-        if (inst.hasDst() && dies(inst.dst))
-            deaths[i].push_back(inst.dst);
-        for (int s = 0; s < inst.numSrcs; ++s) {
-            const RegId r = inst.srcs[s];
-            if (dies(r) &&
-                std::find(deaths[i].begin(), deaths[i].end(), r) ==
-                    deaths[i].end()) {
-                deaths[i].push_back(r);
-            }
-        }
-    }
-
-    // Word-level fast-path tables (see rfv.hh): valid only when every
-    // register id fits bit position 0..63.
-    opMaskByPc.clear();
-    opCountByPc.clear();
-    deathMaskByPc.clear();
-    bool fits = true;
-    for (std::size_t i = 0; i < program.code.size() && fits; ++i) {
-        const Instruction &inst = program.code[i];
-        std::uint64_t ops = 0;
-        const auto add = [&fits](std::uint64_t &mask, RegId r) {
-            if (r < 0 || r >= 64) {
-                fits = false;
-                return;
-            }
-            mask |= std::uint64_t{1} << r;
+        std::uint64_t *ops = &opMaskByPc[i * words];
+        std::uint64_t *dead = &deathMaskByPc[i * words];
+        const auto add = [&](RegId r) {
+            panicIf(r >= program.info.numRegs, "RfvAllocator: operand r",
+                    r, " at pc ", i, " beyond ", program.info.numRegs,
+                    " registers");
+            const std::uint64_t bit = std::uint64_t{1} << (r & 63);
+            ops[r >> 6] |= bit;
+            if (!liveness.isLiveOut(static_cast<int>(i), r))
+                dead[r >> 6] |= bit;
         };
         if (inst.hasDst())
-            add(ops, inst.dst);
+            add(inst.dst);
         for (int s = 0; s < inst.numSrcs; ++s)
-            add(ops, inst.srcs[s]);
-        std::uint64_t dead = 0;
-        for (RegId r : deaths[i])
-            add(dead, r);
-        opMaskByPc.push_back(ops);
-        opCountByPc.push_back(static_cast<std::uint8_t>(
-            __builtin_popcountll(ops)));
-        deathMaskByPc.push_back(dead);
-    }
-    if (!fits) {
-        opMaskByPc.clear();
-        opCountByPc.clear();
-        deathMaskByPc.clear();
+            add(inst.srcs[s]);
+        int count = 0;
+        for (std::size_t w = 0; w < words; ++w)
+            count += __builtin_popcountll(ops[w]);
+        opCountByPc[i] = static_cast<std::uint8_t>(count);
     }
 
     // Provision occupancy between the static-average and peak live
@@ -110,124 +85,60 @@ RfvAllocator::onWarpLaunch(SimWarp &warp)
     warp.physMapped.clearAll();
 }
 
-int
-RfvAllocator::packsNeeded(const SimWarp &warp,
-                          const Instruction &inst) const
-{
-    int need = 0;
-    auto count = [&](RegId r) {
-        if (!warp.physMapped.test(r))
-            ++need;
-    };
-    // Sources first (reading an as-yet-unmapped register allocates the
-    // zero-initialized pack); skip duplicates against the destination.
-    for (int s = 0; s < inst.numSrcs; ++s)
-        count(inst.srcs[s]);
-    if (inst.hasDst() && !warp.physMapped.test(inst.dst)) {
-        bool dup = false;
-        for (int s = 0; s < inst.numSrcs; ++s)
-            dup |= inst.srcs[s] == inst.dst;
-        if (!dup)
-            ++need;
-    }
-    // Duplicate sources would be double counted; correct for them.
-    if (inst.numSrcs >= 2 && inst.srcs[0] == inst.srcs[1] &&
-        !warp.physMapped.test(inst.srcs[0])) {
-        --need;
-    }
-    if (inst.numSrcs == 3 &&
-        (inst.srcs[2] == inst.srcs[0] || inst.srcs[2] == inst.srcs[1]) &&
-        !warp.physMapped.test(inst.srcs[2])) {
-        --need;
-    }
-    return need;
-}
-
 bool
-RfvAllocator::canIssue(const SimWarp &warp, const Instruction &inst) const
+RfvAllocator::canIssue(const SimWarp &warp, int pc) const
 {
-    // Called once per Ready candidate per scheduler cycle. The engine
-    // always passes &prog->code[pc], so the pc — and with it the
-    // precomputed operand mask — is recoverable from the instruction's
-    // address; out-of-program instructions (unit tests) miss the bounds
-    // check and take the general paths below.
-    if (!opMaskByPc.empty()) {
-        const std::ptrdiff_t pc = &inst - prog->code.data();
-        if (pc >= 0 &&
-            pc < static_cast<std::ptrdiff_t>(opMaskByPc.size())) {
-            const auto upc = static_cast<std::size_t>(pc);
-            // need never exceeds the distinct operand count, so a pool
-            // with that much headroom admits without loading the
-            // warp's (cold) mapping word.
-            if (physFree >= opCountByPc[upc])
-                return true;
-            const int need = __builtin_popcountll(
-                opMaskByPc[upc] & ~warp.physMapped.word(0));
-            return need == 0 || need <= physFree;
-        }
+    // Called once per Ready candidate per scheduler cycle. need never
+    // exceeds the distinct operand count, so a pool with that much
+    // headroom admits without loading the warp's (cold) mapping.
+    const auto upc = static_cast<std::size_t>(pc);
+    if (physFree >= opCountByPc[upc])
+        return true;
+    const std::uint64_t *ops =
+        &opMaskByPc[upc * static_cast<std::size_t>(regWords)];
+    int need = 0;
+    for (int w = 0; w < regWords; ++w) {
+        need += __builtin_popcountll(
+            ops[w] & ~warp.physMapped.word(static_cast<std::size_t>(w)));
     }
-    // "Distinct unmapped operands" as one popcount — identical to
-    // packsNeeded()'s dedup arithmetic.
-    if (warp.physMapped.size() <= 64) {
-        std::uint64_t operands = 0;
-        if (inst.hasDst())
-            operands |= std::uint64_t{1} << inst.dst;
-        for (int s = 0; s < inst.numSrcs; ++s)
-            operands |= std::uint64_t{1} << inst.srcs[s];
-        const int need = __builtin_popcountll(
-            operands & ~warp.physMapped.word(0));
-        return need == 0 || need <= physFree;
-    }
-    const int need = packsNeeded(warp, inst);
     // need == 0 must always pass: an emergency overdraft can leave the
     // pool negative while fully mapped warps keep running.
     return need == 0 || need <= physFree;
 }
 
-void
-RfvAllocator::mapOperands(SimWarp &warp, const Instruction &inst)
+std::uint64_t
+RfvAllocator::mapOperandWord(SimWarp &warp, std::size_t pc, int w)
 {
-    auto map = [&](RegId r) {
-        if (!warp.physMapped.test(r)) {
-            warp.physMapped.set(r);
-            --physFree;
-        }
-    };
-    for (int s = 0; s < inst.numSrcs; ++s)
-        map(inst.srcs[s]);
-    if (inst.hasDst())
-        map(inst.dst);
+    const auto word = static_cast<std::size_t>(w);
+    const std::uint64_t added =
+        opMaskByPc[pc * static_cast<std::size_t>(regWords) + word] &
+        ~warp.physMapped.word(word);
+    if (added != 0) {
+        warp.physMapped.setWordBits(word, added);
+        physFree -= __builtin_popcountll(added);
+    }
+    return added;
 }
 
 void
 RfvAllocator::onIssued(SimWarp &warp, const Instruction &inst, int pc)
 {
-    // Word-level form of the walk below: map every unmapped operand,
-    // then release the pc's death set (only its mapped members — the
-    // same regs the per-bit test() guard would release).
-    if (!opMaskByPc.empty()) {
-        const auto upc = static_cast<std::size_t>(pc);
-        const std::uint64_t mapped = warp.physMapped.word(0);
-        const std::uint64_t added = opMaskByPc[upc] & ~mapped;
-        if (added != 0) {
-            warp.physMapped.setWordBits(0, added);
-            physFree -= __builtin_popcountll(added);
-        }
-        const std::uint64_t dead = deathMaskByPc[upc] & (mapped | added);
+    (void)inst;
+    // Map every unmapped operand, then release the pc's death set —
+    // registers whose live range ends here (renaming-table entries
+    // freed by the dead-register information), mapped ones only.
+    const auto upc = static_cast<std::size_t>(pc);
+    for (int w = 0; w < regWords; ++w) {
+        const auto word = static_cast<std::size_t>(w);
+        const std::uint64_t mapped = warp.physMapped.word(word);
+        const std::uint64_t added = mapOperandWord(warp, upc, w);
+        const std::uint64_t dead =
+            deathMaskByPc[upc * static_cast<std::size_t>(regWords) +
+                          word] &
+            (mapped | added);
         if (dead != 0) {
-            warp.physMapped.clearWordBits(0, dead);
+            warp.physMapped.clearWordBits(word, dead);
             physFree += __builtin_popcountll(dead);
-            freed = true;
-        }
-        return;
-    }
-    mapOperands(warp, inst);
-    // Release registers whose live range ends here (renaming-table
-    // entry freed by the dead-register information).
-    for (RegId r : deaths[pc]) {
-        if (warp.physMapped.test(r)) {
-            warp.physMapped.unset(r);
-            ++physFree;
             freed = true;
         }
     }
@@ -261,7 +172,8 @@ RfvAllocator::forceProgress(SimWarp &warp, int pc)
     // pool may go negative until register deaths repay the overdraft.
     panicIf(prog == nullptr, "RfvAllocator::forceProgress before prepare");
     ++spills;
-    mapOperands(warp, prog->code[pc]);
+    for (int w = 0; w < regWords; ++w)
+        mapOperandWord(warp, static_cast<std::size_t>(pc), w);
     return spillPenalty;
 }
 
@@ -279,7 +191,7 @@ RfvAllocator::faultCorruptState()
 void
 RfvAllocator::saveState(SnapshotWriter &w) const
 {
-    // deaths/estDemand/maxCtas are pure functions of the program and
+    // The per-pc masks, estDemand and maxCtas are pure functions of the program and
     // config, recomputed by prepare(); only pool state is serialized.
     w.i32(physFree);
     w.i32(drained);
@@ -336,7 +248,7 @@ RfvAllocator::auditInvariants(const WarpStore &warps,
             const int pc = warps.pc(slot);
             if (pc < 0 || pc >= static_cast<int>(prog->code.size()))
                 continue;
-            if (canIssue(warps.warp(slot), prog->code[pc])) {
+            if (canIssue(warps.warp(slot), pc)) {
                 fail("warp " + std::to_string(slot) +
                      " waits on the pool but its instruction at pc " +
                      std::to_string(pc) + " can issue");

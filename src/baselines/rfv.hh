@@ -39,8 +39,7 @@ class RfvAllocator : public RegisterAllocator
     int maxCtasByRegisters() const override { return maxCtas; }
 
     void onWarpLaunch(SimWarp &warp) override;
-    bool canIssue(const SimWarp &warp,
-                  const Instruction &inst) const override;
+    bool canIssue(const SimWarp &warp, int pc) const override;
     // canIssue gates on the physical pool (keep the default hint), but
     // RFV never biases scheduler priority.
     bool biasesPriority() const override { return false; }
@@ -88,25 +87,23 @@ class RfvAllocator : public RegisterAllocator
     int spillPenalty = 0;
     bool freed = false;
     std::uint64_t spills = 0;
-    /** Registers whose last use is at this pc (dead after issue). */
-    std::vector<std::vector<RegId>> deaths;
     /**
-     * Word-level issue fast path, populated by prepare() when every
-     * register id of the program fits one 64-bit word (always true for
-     * the paper's kernels): per-pc distinct-operand mask and count,
-     * and the death set as a mask. canIssue() admits without touching
-     * the warp's mapping when the pool already covers the distinct
-     * operand count (need can never exceed it), and onIssued() maps
-     * and releases with two word ops instead of per-bit walks. All
-     * three stay empty when any id is >= 64, falling back to the
-     * general paths.
+     * Per-pc register masks, regWords words each (one bit per
+     * architected register, the layout of SimWarp::physMapped): the
+     * distinct operands, and the death set — operands whose last use
+     * is at this pc. canIssue() admits without touching the warp's
+     * mapping when the pool already covers the distinct operand count
+     * (opCountByPc; need can never exceed it); onIssued() maps and
+     * releases with word ops.
      */
+    int regWords = 0;
     std::vector<std::uint64_t> opMaskByPc;
     std::vector<std::uint8_t> opCountByPc;
     std::vector<std::uint64_t> deathMaskByPc;
 
-    int packsNeeded(const SimWarp &warp, const Instruction &inst) const;
-    void mapOperands(SimWarp &warp, const Instruction &inst);
+    /** Map the unmapped operands of @p pc in physMapped word @p w;
+     *  returns the newly mapped bits. */
+    std::uint64_t mapOperandWord(SimWarp &warp, std::size_t pc, int w);
 };
 
 } // namespace rm

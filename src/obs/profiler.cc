@@ -88,6 +88,7 @@ Profiler::report()
 
     std::lock_guard<std::mutex> lock(global.registryMutex);
     for (const auto &buffer : global.buffers) {
+        std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
         if (buffer->sessionEpoch != epoch)
             continue; // recorded nothing this session
         bool contributed = buffer->droppedSpans > 0;

@@ -19,9 +19,12 @@
  *  2. Negligible cost when runtime-disabled: one relaxed atomic load
  *     and a predictable branch per site. Defining RM_PROFILER_DISABLED
  *     at compile time turns every site into a true no-op.
- *  3. Lock-free recording. Each thread accumulates into its own
- *     buffer (registered once per thread under a mutex, then never
- *     shared); Profiler::report() merges at quiescence.
+ *  3. Lock-free hot recording. Each thread accumulates into its own
+ *     buffer (registered once per thread under a mutex). Hot phases
+ *     record without locking; traced phases take the buffer's own
+ *     mutex, which Profiler::report() also holds while it merges that
+ *     buffer (a pool worker's task spans can close after parallelFor
+ *     has returned to a caller that reports right away).
  *
  * Phases come in two flavors. *Hot* phases run inside the SM cycle
  * loop, millions of times per run — they are aggregated only
@@ -111,6 +114,15 @@ struct ProfSpanRecord
 /** Per-thread recording buffer. Created on first record, never freed. */
 struct ProfThreadBuffer
 {
+    /**
+     * Guards the buffer between its thread's traced-phase records and
+     * Profiler::report()'s merge: a pool worker closes its
+     * pool.task_run / pool.task_wait spans after the task body has let
+     * parallelFor return, so they can land during a report. Hot phases
+     * record without it — they close inside task bodies, which all
+     * finish before parallelFor returns.
+     */
+    std::mutex mutex;
     std::uint64_t sessionEpoch = 0; ///< lazily resets on a new session
     std::uint32_t threadIndex = 0;
     std::uint64_t count[kProfPhaseCount] = {};
@@ -178,15 +190,13 @@ profThreadBuffer()
     return *buffer;
 }
 
+/** Add one closed span to @p buffer (the caller holds buffer->mutex
+ *  for traced phases). */
 inline void
-profRecord(ProfPhase phase, int arg,
-           std::chrono::steady_clock::time_point begin,
-           std::chrono::steady_clock::time_point end)
+profAccumulate(ProfThreadBuffer *buffer, ProfPhase phase, int arg,
+               std::chrono::steady_clock::time_point begin,
+               std::chrono::steady_clock::time_point end)
 {
-    ProfThreadBuffer *buffer = t_profBuffer;
-    if (buffer == nullptr)
-        buffer = &profThreadBuffer();
-
     ProfGlobal &global = profGlobal();
     const std::uint64_t epoch =
         global.epoch.load(std::memory_order_acquire);
@@ -225,6 +235,22 @@ profRecord(ProfPhase phase, int arg,
         } else {
             ++buffer->droppedSpans;
         }
+    }
+}
+
+inline void
+profRecord(ProfPhase phase, int arg,
+           std::chrono::steady_clock::time_point begin,
+           std::chrono::steady_clock::time_point end)
+{
+    ProfThreadBuffer *buffer = t_profBuffer;
+    if (buffer == nullptr)
+        buffer = &profThreadBuffer();
+    if (profPhaseTraced(phase)) {
+        std::lock_guard<std::mutex> lock(buffer->mutex);
+        profAccumulate(buffer, phase, arg, begin, end);
+    } else {
+        profAccumulate(buffer, phase, arg, begin, end);
     }
 }
 
@@ -298,10 +324,12 @@ struct ProfReport
 
 /**
  * Session control. All three calls require quiescence: no instrumented
- * code running on any thread. enable() starts a fresh session (prior
- * measurements are discarded lazily, per thread); report() merges every
- * thread's buffer; disable() stops recording but keeps the session's
- * data until the next enable().
+ * code running on any thread — except that report() tolerates pool
+ * workers still closing their task spans after parallelFor returned.
+ * enable() starts a fresh session (prior measurements are discarded
+ * lazily, per thread); report() merges every thread's buffer;
+ * disable() stops recording but keeps the session's data until the
+ * next enable().
  */
 class Profiler
 {

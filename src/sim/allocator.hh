@@ -64,16 +64,17 @@ class RegisterAllocator
     virtual void onWarpExit(SimWarp &warp) { (void)warp; }
 
     /**
-     * May @p warp issue @p inst this cycle? Pure check, no side
-     * effects; called during scheduler candidate selection. Returning
-     * false parks the warp in WaitResource when wake-on-release is
-     * enabled.
+     * May @p warp issue the instruction at @p pc of the prepared
+     * program this cycle? Pure check, no side effects; called during
+     * scheduler candidate selection. Taking the pc (rather than the
+     * instruction) lets a policy index tables it derived per pc in
+     * prepare(). Returning false parks the warp in WaitResource when
+     * wake-on-release is enabled.
      */
-    virtual bool
-    canIssue(const SimWarp &warp, const Instruction &inst) const
+    virtual bool canIssue(const SimWarp &warp, int pc) const
     {
         (void)warp;
-        (void)inst;
+        (void)pc;
         return true;
     }
 

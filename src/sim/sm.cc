@@ -1,6 +1,7 @@
 #include "sim/sm.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/errors.hh"
 #include "isa/disasm.hh"
@@ -78,34 +79,17 @@ Sm::Sm(const GpuConfig &gpu_config, const Program &kernel,
 
     allocGatesIssue = allocator.gatesIssue();
     allocBiasesPriority = allocator.biasesPriority();
-    if (program.info.numRegs <= 64) {
-        issueMeta.reserve(program.code.size());
-        bool fits = true;
-        for (const Instruction &inst : program.code) {
-            IssueCheckMeta meta;
-            meta.globalMem = latClass(inst.op) == LatClass::GlobalMem;
-            if (inst.hasDst()) {
-                fits = fits && inst.dst < 64;
-                meta.opMask |= std::uint64_t{1} << (inst.dst & 63);
-            }
-            for (int s = 0; s < inst.numSrcs; ++s) {
-                fits = fits && inst.srcs[s] < 64;
-                meta.opMask |= std::uint64_t{1} << (inst.srcs[s] & 63);
-            }
-            issueMeta.push_back(meta);
-        }
-        if (!fits)
-            issueMeta.clear();
+    // The warp store derives the per-pc operand masks and keeps the
+    // ready/issue-clean slot masks the scheduler scans.
+    warps.setIssueMeta(program, config.maxPendingMemPerWarp);
+    const int slot_words = warps.slotWords();
+    schedSlotMask.assign(
+        static_cast<std::size_t>(config.numSchedulers * slot_words), 0);
+    for (int slot = 0; slot < config.maxWarpsPerSm; ++slot) {
+        schedSlotMask[static_cast<std::size_t>(
+            (slot % config.numSchedulers) * slot_words + (slot >> 6))] |=
+            std::uint64_t{1} << (slot & 63);
     }
-    // Hand the table to the warp store so it maintains the incremental
-    // ready/issue-clean masks (no-op when the geometry overflows one
-    // word — the scheduler then falls back to the sweeping scan).
-    warps.setIssueMeta(issueMeta.data(), issueMeta.size(),
-                       config.maxPendingMemPerWarp);
-    schedSlotMask.assign(config.numSchedulers, 0);
-    for (int slot = 0; slot < config.maxWarpsPerSm && slot < 64; ++slot)
-        schedSlotMask[slot % config.numSchedulers] |=
-            std::uint64_t{1} << slot;
 
     // Precompute the RegMutex operand verification (see sm.hh). Any
     // statically out-of-range operand keeps the per-access slow path,
@@ -281,32 +265,6 @@ Sm::dispatchMemQueue()
         events.push(SimEvent{cycle + latency, req.warpSlot,
                              req.reg, true, false, req.launchOrder});
     }
-}
-
-Sm::BlockReason
-Sm::issueBlockedGeneral(int slot) const
-{
-    const Instruction &inst = program.code[warps.pc(slot)];
-
-    // Scoreboard: RAW / WAW against in-flight writes.
-    if (inst.hasDst() && warps.sbTest(slot, inst.dst))
-        return BlockReason::Scoreboard;
-    for (int s = 0; s < inst.numSrcs; ++s) {
-        if (warps.sbTest(slot, inst.srcs[s]))
-            return BlockReason::Scoreboard;
-    }
-
-    // Structural: outstanding global-memory limit.
-    if (latClass(inst.op) == LatClass::GlobalMem &&
-        warps.pendingMem(slot) >= config.maxPendingMemPerWarp) {
-        return BlockReason::MemStructural;
-    }
-
-    // Policy gate (OWF pair lock, RFV physical registers).
-    if (!allocator.canIssue(warps.warp(slot), inst))
-        return BlockReason::Resource;
-
-    return BlockReason::None;
 }
 
 void
@@ -615,124 +573,80 @@ Sm::park(int slot, WarpState wait_state)
 void
 Sm::schedule(int scheduler)
 {
-    // Candidate warps: slots assigned to this scheduler by parity.
-    auto issuable = [&](int slot) -> bool {
-        if (warps.state(slot) != WarpState::Ready ||
-            warps.warp(slot).ctaSlot < 0) {
-            return false;
-        }
-        return issueBlocked(slot) == BlockReason::None;
-    };
-
     // Greedy: stick with the last issued warp while it can issue.
     const int last = schedLastIssued[scheduler];
-    const bool masks = warps.masksActive();
-    if (config.schedPolicy == SchedPolicy::Gto && last >= 0) {
-        // Mask form of issuable(last): Ready warps always have a CTA,
-        // and the clean bit caches the scoreboard + mem-limit verdict.
-        const bool ok =
-            masks ? ((warps.readyMask() & warps.issueCleanMask()) >>
-                         last &
-                     1) != 0 &&
-                        (!allocGatesIssue ||
-                         allocator.canIssue(
-                             warps.warp(last),
-                             program.code[warps.pc(last)]))
-                  : issuable(last);
-        if (ok) {
-            issue(last);
-            if (warps.state(last) != WarpState::Ready)
-                schedLastIssued[scheduler] = -1;
-            return;
-        }
+    const bool gto = config.schedPolicy == SchedPolicy::Gto;
+    if (gto && last >= 0 && warps.readyClean(last) &&
+        (!allocGatesIssue ||
+         allocator.canIssue(warps.warp(last), warps.pc(last)))) {
+        issue(last);
+        if (warps.state(last) != WarpState::Ready)
+            schedLastIssued[scheduler] = -1;
+        return;
     }
 
-    // Then-oldest with policy priority (owner-warp-first for OWF).
+    // Then-oldest with policy priority (owner-warp-first for OWF):
+    // visit this scheduler's Ready slots (slot % numSchedulers) in
+    // ascending order by iterating set bits of the WarpStore masks.
     int best = -1;
     int best_priority = 0;
     std::uint64_t best_key = 0;
     BlockReason sample_reason = BlockReason::None;
-    bool saw_ready = false;
-    const bool gto = config.schedPolicy == SchedPolicy::Gto;
     const int num_slots = config.maxWarpsPerSm;
-    const int stride = config.numSchedulers;
-    // An issuable candidate: higher policy priority wins, then GTO
-    // breaks ties by age and LRR rotates from the last issued slot.
-    const auto consider = [&](int slot) {
-        const int priority =
-            allocBiasesPriority ? allocator.schedPriority(warps.warp(slot))
-                                : 0;
-        const std::uint64_t slot_key =
-            gto ? warps.warp(slot).launchOrder
-                : static_cast<std::uint64_t>(
-                      (slot - last - 1 + 2 * num_slots) % num_slots);
-        if (best < 0 || priority > best_priority ||
-            (priority == best_priority && slot_key < best_key)) {
-            best = slot;
-            best_priority = priority;
-            best_key = slot_key;
-        }
-    };
-    if (masks) {
-        // Fast scan: iterate set bits of the incrementally maintained
-        // masks instead of sweeping every slot. Same visitation order
-        // (ascending slots of this scheduler's parity class), same
-        // decisions, same side effects as the sweep below.
-        const std::uint64_t ready =
-            warps.readyMask() & schedSlotMask[scheduler];
-        const std::uint64_t clean = warps.issueCleanMask();
-        const std::uint64_t hard_blocked = ready & ~clean;
-        int first_resource = num_slots;
+    const int slot_words = warps.slotWords();
+    const std::uint64_t *mine =
+        &schedSlotMask[static_cast<std::size_t>(scheduler * slot_words)];
+    for (int w = 0; w < slot_words; ++w) {
+        const std::uint64_t ready = warps.readyWord(w) & mine[w];
+        if (ready == 0)
+            continue;
+        const std::uint64_t clean = warps.cleanWord(w);
+        int first_resource = -1;
         for (std::uint64_t m = ready & clean; m != 0; m &= m - 1) {
-            const int slot = __builtin_ctzll(m);
+            const int slot = w * 64 + __builtin_ctzll(m);
             if (allocGatesIssue &&
-                !allocator.canIssue(warps.warp(slot),
-                                    program.code[warps.pc(slot)])) {
-                saw_ready = true;
-                if (first_resource == num_slots)
+                !allocator.canIssue(warps.warp(slot), warps.pc(slot))) {
+                if (first_resource < 0)
                     first_resource = slot;
                 // Park policy-blocked warps until resources free up.
                 if (config.wakeOnRelease)
                     park(slot, WarpState::WaitResource);
                 continue;
             }
-            consider(slot);
+            // An issuable candidate: higher policy priority wins, then
+            // GTO breaks ties by age and LRR rotates from the last
+            // issued slot.
+            const int priority =
+                allocBiasesPriority
+                    ? allocator.schedPriority(warps.warp(slot))
+                    : 0;
+            const std::uint64_t slot_key =
+                gto ? warps.warp(slot).launchOrder
+                    : static_cast<std::uint64_t>(
+                          (slot - last - 1 + 2 * num_slots) % num_slots);
+            if (best < 0 || priority > best_priority ||
+                (priority == best_priority && slot_key < best_key)) {
+                best = slot;
+                best_priority = priority;
+                best_key = slot_key;
+            }
         }
-        // sample_reason is the verdict of the lowest blocked slot —
-        // the first one the sweep would have visited.
+        // The sample is the verdict of the lowest blocked slot, which
+        // lies in the first word holding any.
+        if (sample_reason != BlockReason::None)
+            continue;
+        const std::uint64_t hard_blocked = ready & ~clean;
         if (hard_blocked != 0) {
-            saw_ready = true;
-            const int slot = __builtin_ctzll(hard_blocked);
-            if (slot < first_resource) {
-                const IssueCheckMeta &meta = issueMeta[warps.pc(slot)];
-                sample_reason =
-                    (warps.sbWord0(slot) & meta.opMask) != 0
-                        ? BlockReason::Scoreboard
-                        : BlockReason::MemStructural;
+            const int slot = w * 64 + __builtin_ctzll(hard_blocked);
+            if (first_resource < 0 || slot < first_resource) {
+                sample_reason = warps.sbBlocksIssue(slot)
+                                    ? BlockReason::Scoreboard
+                                    : BlockReason::MemStructural;
             } else {
                 sample_reason = BlockReason::Resource;
             }
-        } else if (first_resource < num_slots) {
+        } else if (first_resource >= 0) {
             sample_reason = BlockReason::Resource;
-        }
-    } else {
-        for (int slot = scheduler; slot < num_slots; slot += stride) {
-            if (warps.state(slot) != WarpState::Ready ||
-                warps.warp(slot).ctaSlot < 0) {
-                continue;
-            }
-            const BlockReason reason = issueBlocked(slot);
-            if (reason != BlockReason::None) {
-                saw_ready = true;
-                if (sample_reason == BlockReason::None)
-                    sample_reason = reason;
-                // Park policy-blocked warps until resources free up.
-                if (reason == BlockReason::Resource &&
-                    config.wakeOnRelease)
-                    park(slot, WarpState::WaitResource);
-                continue;
-            }
-            consider(slot);
         }
     }
 
@@ -745,15 +659,14 @@ Sm::schedule(int scheduler)
 
     // Nothing issued: account the stall.
     schedLastIssued[scheduler] = -1;
-    bookIdle(scheduler, saw_ready, sample_reason, 1);
+    bookIdle(scheduler, sample_reason, 1);
 }
 
 void
-Sm::bookIdle(int scheduler, bool saw_ready, BlockReason sample_reason,
-             std::uint64_t n)
+Sm::bookIdle(int scheduler, BlockReason sample_reason, std::uint64_t n)
 {
     stats.idleSchedulerSlots += n;
-    if (saw_ready) {
+    if (sample_reason != BlockReason::None) {
         switch (sample_reason) {
           case BlockReason::Scoreboard:
             stats.scoreboardStalls += n;
@@ -1089,11 +1002,14 @@ Sm::skipAhead(const RunControl &control, bool epoch_work)
     // Defensive re-verification: an idle cycle implies every Ready warp
     // is blocked, and with the memory queue empty and the allocator
     // untouched, blocked reasons cannot change until the next event.
-    for (int slot = 0; slot < config.maxWarpsPerSm; ++slot) {
-        if (warps.state(slot) == WarpState::Ready &&
-            warps.warp(slot).ctaSlot >= 0 &&
-            issueBlocked(slot) == BlockReason::None) {
-            return;
+    // Only Ready, issue-clean slots can have become issuable.
+    for (int w = 0; w < warps.slotWords(); ++w) {
+        for (std::uint64_t m = warps.readyWord(w) & warps.cleanWord(w);
+             m != 0; m &= m - 1) {
+            const int slot = w * 64 + __builtin_ctzll(m);
+            if (!allocGatesIssue ||
+                allocator.canIssue(warps.warp(slot), warps.pc(slot)))
+                return;
         }
     }
 
@@ -1131,20 +1047,23 @@ Sm::accountIdleCycles(std::uint64_t n)
     // Closed-form replay of schedule()'s nothing-issued path for n
     // cycles of frozen machine state (schedLastIssued is already -1
     // for every scheduler after an executed idle cycle). The first
-    // blocked Ready warp in slot order decides the sample.
+    // Ready warp in slot order — blocked, as skipAhead verified —
+    // decides the sample.
+    const int slot_words = warps.slotWords();
     for (int scheduler = 0; scheduler < config.numSchedulers;
          ++scheduler) {
+        const std::uint64_t *mine = &schedSlotMask[static_cast<std::size_t>(
+            scheduler * slot_words)];
         BlockReason sample_reason = BlockReason::None;
-        for (int slot = scheduler; slot < config.maxWarpsPerSm;
-             slot += config.numSchedulers) {
-            if (warps.state(slot) == WarpState::Ready &&
-                warps.warp(slot).ctaSlot >= 0) {
-                sample_reason = issueBlocked(slot);
+        for (int w = 0; w < slot_words; ++w) {
+            const std::uint64_t ready = warps.readyWord(w) & mine[w];
+            if (ready != 0) {
+                sample_reason =
+                    issueBlocked(w * 64 + __builtin_ctzll(ready));
                 break;
             }
         }
-        bookIdle(scheduler, sample_reason != BlockReason::None,
-                 sample_reason, n);
+        bookIdle(scheduler, sample_reason, n);
     }
 }
 
@@ -1386,17 +1305,18 @@ Sm::saveState(SnapshotWriter &w) const
     // Global memory as construction parameters + a store diff.
     w.i32(gmem.log2Words());
     w.u64(gmem.seed());
-    std::uint32_t dirty = 0;
+    // One scan of the partition collects the diff; the count precedes
+    // the entries on the wire.
+    std::vector<std::pair<std::size_t, std::int64_t>> dirty;
     for (std::size_t i = 0; i < gmem.sizeWords(); ++i) {
-        if (gmem.word(i) != gmem.initialWord(i))
-            ++dirty;
+        const std::int64_t value = gmem.word(i);
+        if (value != gmem.initialWord(i))
+            dirty.emplace_back(i, value);
     }
-    w.u32(dirty);
-    for (std::size_t i = 0; i < gmem.sizeWords(); ++i) {
-        if (gmem.word(i) != gmem.initialWord(i)) {
-            w.u64(static_cast<std::uint64_t>(i));
-            w.i64(gmem.word(i));
-        }
+    w.u32(static_cast<std::uint32_t>(dirty.size()));
+    for (const auto &[index, value] : dirty) {
+        w.u64(static_cast<std::uint64_t>(index));
+        w.i64(value);
     }
 
     // Policy state as a framed blob: a policy serialization bug shows

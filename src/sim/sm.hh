@@ -176,23 +176,14 @@ class Sm
     const FaultPlan fault; ///< deterministic fault-injection plan
     int residentCap = 0;  ///< max co-resident CTAs for this kernel
 
-    /**
-     * Per-instruction issue-check metadata, precomputed once at
-     * construction: the union of all operand scoreboard bits as one
-     * word plus the global-memory flag, so issueBlocked() on the
-     * scheduler's candidate sweep is two loads and a mask instead of a
-     * per-operand scoreboard walk plus a latency-class switch. Empty
-     * when the kernel does not fit one scoreboard word (> 64
-     * registers) — the general path then serves every call. The same
-     * table powers the WarpStore's incremental issue-clean mask
-     * (warp_store.hh), which the scheduler's fast scan iterates.
-     */
-    std::vector<IssueCheckMeta> issueMeta;
     /** Devirtualization hints cached off the allocator (allocator.hh). */
     bool allocGatesIssue = true;
     bool allocBiasesPriority = true;
-    /** Bit set of slots owned by each scheduler (slot % numSchedulers);
-     *  masks the WarpStore ready/clean words in the fast scan. */
+    /**
+     * Slots owned by each scheduler (slot % numSchedulers) as a slot
+     * mask: WarpStore::slotWords() words per scheduler, flattened. The
+     * candidate scan ANDs it into the WarpStore ready/clean words.
+     */
     std::vector<std::uint64_t> schedSlotMask;
     /**
      * Precomputed operand verification for the RegMutex mapper: the
@@ -253,14 +244,13 @@ class Sm
     /** Block reason when a Ready warp cannot issue this cycle. */
     enum class BlockReason { None, Scoreboard, MemStructural, Resource };
     /**
-     * Why warp @p slot cannot issue this cycle (None when it can).
-     * Defined inline below so the scheduler's candidate sweep — the
-     * hottest loop in the engine — inlines the precomputed-mask fast
-     * path; kernels that overflow one scoreboard word take the
-     * out-of-line general path instead (same decisions).
+     * Why Ready warp @p slot cannot issue this cycle (None when it
+     * can): the WarpStore's issue-clean bit answers the scoreboard and
+     * outstanding-memory checks, the policy gate the rest. Defined
+     * inline below; the scheduler's candidate scan reads the same
+     * masks word by word.
      */
     BlockReason issueBlocked(int slot) const;
-    BlockReason issueBlockedGeneral(int slot) const;
 
     void issue(int slot);
     void verifyOperands(const SimWarp &warp, const Instruction &inst,
@@ -286,13 +276,12 @@ class Sm
     void accountIdleCycles(std::uint64_t n);
 
     /**
-     * Book @p n idle slots of @p scheduler. With @p saw_ready the
-     * sampled block reason of the first blocked Ready warp classifies
-     * them; otherwise the first waiting candidate warp does (no
-     * candidate at all: a no-warp stall).
+     * Book @p n idle slots of @p scheduler. A @p sample_reason other
+     * than None (the block reason of the first blocked Ready warp)
+     * classifies them; otherwise the first waiting candidate warp does
+     * (no candidate at all: a no-warp stall).
      */
-    void bookIdle(int scheduler, bool saw_ready, BlockReason sample_reason,
-                  std::uint64_t n);
+    void bookIdle(int scheduler, BlockReason sample_reason, std::uint64_t n);
 
     /**
      * Outcome of the starvation check (no instruction issued and no
@@ -328,22 +317,16 @@ class Sm
 inline Sm::BlockReason
 Sm::issueBlocked(int slot) const
 {
-    if (issueMeta.empty())
-        return issueBlockedGeneral(slot);
-    const int pc = warps.pc(slot);
-    const IssueCheckMeta &meta = issueMeta[pc];
-    // Scoreboard: RAW / WAW against in-flight writes, one mask test.
-    if (warps.sbWord0(slot) & meta.opMask)
-        return BlockReason::Scoreboard;
-    // Structural: outstanding global-memory limit.
-    if (meta.globalMem &&
-        warps.pendingMem(slot) >= config.maxPendingMemPerWarp) {
-        return BlockReason::MemStructural;
+    // Scoreboard (RAW / WAW against in-flight writes) or the structural
+    // outstanding-global-memory limit.
+    if (!warps.readyClean(slot)) {
+        return warps.sbBlocksIssue(slot) ? BlockReason::Scoreboard
+                                         : BlockReason::MemStructural;
     }
     // Policy gate (OWF pair lock, RFV physical registers); skipped
     // outright for policies that never gate.
-    if (allocGatesIssue &&
-        !allocator.canIssue(warps.warp(slot), program.code[pc])) {
+    if (allocGatesIssue && !allocator.canIssue(warps.warp(slot),
+                                               warps.pc(slot))) {
         return BlockReason::Resource;
     }
     return BlockReason::None;

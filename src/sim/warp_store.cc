@@ -1,5 +1,7 @@
 #include "sim/warp_store.hh"
 
+#include <algorithm>
+
 #include "common/errors.hh"
 
 namespace rm {
@@ -12,7 +14,9 @@ WarpStore::reset(int slots, int num_regs)
     numSlots_ = slots;
     regCount_ = num_regs;
     regStride_ = static_cast<std::size_t>(num_regs);
-    sbStride_ = (num_regs + 63) / 64;
+    // At least one word, so the issue check tests word 0 unconditionally.
+    sbStride_ = static_cast<std::size_t>(std::max(num_regs, 1) + 63) / 64;
+    slotWords_ = (slots + 63) / 64;
 
     cold_.assign(static_cast<std::size_t>(slots), SimWarp{});
     for (int slot = 0; slot < slots; ++slot)
@@ -22,42 +26,40 @@ WarpStore::reset(int slots, int num_regs)
     pc_.assign(static_cast<std::size_t>(slots), 0);
     pendingMem_.assign(static_cast<std::size_t>(slots), 0);
     wakeAt_.assign(static_cast<std::size_t>(slots), 0);
-    sb_.assign(static_cast<std::size_t>(slots) *
-                   static_cast<std::size_t>(sbStride_),
-               0);
+    sb_.assign(static_cast<std::size_t>(slots) * sbStride_, 0);
     regSlab_.assign(static_cast<std::size_t>(slots) * regStride_, 0);
 
     // New geometry invalidates any prior issue metadata; the owner
-    // re-activates via setIssueMeta() once it has rebuilt the table.
-    meta_ = nullptr;
-    metaCount_ = 0;
+    // re-derives it via setIssueMeta().
     maxPendingMem_ = 0;
-    readyMask_ = 0;
-    cleanMask_ = 0;
+    readyMask_.assign(static_cast<std::size_t>(slotWords_), 0);
+    cleanMask_.assign(static_cast<std::size_t>(slotWords_), 0);
+    opMask_.clear();
+    globalMem_.clear();
 }
 
 void
-WarpStore::setIssueMeta(const IssueCheckMeta *meta, std::size_t count,
-                        int max_pending)
+WarpStore::setIssueMeta(const Program &program, int max_pending)
 {
-    // The masks are one word wide: more slots, a multi-word scoreboard,
-    // or no metadata leaves the store in slow mode (scheduler sweeps).
-    if (meta == nullptr || count == 0 || numSlots_ > 64 ||
-        sbStride_ != 1) {
-        meta_ = nullptr;
-        metaCount_ = 0;
-        readyMask_ = 0;
-        cleanMask_ = 0;
-        return;
-    }
-    meta_ = meta;
-    metaCount_ = count;
     maxPendingMem_ = max_pending;
-    readyMask_ = 0;
-    cleanMask_ = 0;
+    opMask_.assign(program.code.size() * sbStride_, 0);
+    globalMem_.assign(program.code.size(), 0);
+    for (std::size_t pc = 0; pc < program.code.size(); ++pc) {
+        const Instruction &inst = program.code[pc];
+        globalMem_[pc] = latClass(inst.op) == LatClass::GlobalMem;
+        std::uint64_t *ops = &opMask_[pc * sbStride_];
+        const auto add = [&](RegId reg) {
+            panicIf(reg >= regCount_, "WarpStore: operand r", reg,
+                    " at pc ", pc, " beyond ", regCount_, " registers");
+            ops[reg >> 6] |= std::uint64_t{1} << (reg & 63);
+        };
+        if (inst.hasDst())
+            add(inst.dst);
+        for (int s = 0; s < inst.numSrcs; ++s)
+            add(inst.srcs[s]);
+    }
     for (int slot = 0; slot < numSlots_; ++slot) {
-        if (state(slot) == WarpState::Ready)
-            readyMask_ |= std::uint64_t{1} << slot;
+        assignBit(readyMask_, slot, state(slot) == WarpState::Ready);
         recomputeClean(slot);
     }
 }

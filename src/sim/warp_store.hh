@@ -12,11 +12,16 @@
  *
  *   - state / pc / pendingMem / wakeAt: one contiguous array each, so
  *     the scheduler's slot sweep walks cache lines, not objects;
- *   - the scoreboard: one u64 word-span per slot inside a single
- *     allocation (registers per kernel <= 64 in practice, so a test is
- *     one load + mask, no Bitmask bounds machinery);
+ *   - the scoreboard: one span of ceil(registers / 64) u64 words per
+ *     slot inside a single allocation, so a test is a load + mask with
+ *     no Bitmask bounds machinery;
  *   - architected registers: one flat slab, slot-major with stride =
- *     program register count, handed to executeStep() as a raw pointer.
+ *     program register count, handed to executeStep() as a raw pointer;
+ *   - the issue masks: a ready mask and an issue-clean mask over the
+ *     slots (ceil(slots / 64) words each) plus one operand mask per pc
+ *     (a scoreboard-width span), kept current by every mutator. The
+ *     scheduler iterates their set bits instead of sweeping slots;
+ *     every geometry takes this one path.
  *
  * Cold identity and policy fields (CTA coordinates, SRP section, RFV
  * mapping mask, ...) stay in SimWarp (sim/warp.hh); the store owns
@@ -28,22 +33,10 @@
 #include <vector>
 
 #include "common/bitmask.hh"
+#include "isa/program.hh"
 #include "sim/warp.hh"
 
 namespace rm {
-
-/**
- * Per-instruction operand metadata for the O(1) issue check: the union
- * of destination and source scoreboard bits, and whether the opcode is
- * a global-memory access (subject to the per-warp pending-memory
- * limit). Built once per program by the Sm when every register index
- * fits a single scoreboard word; indexed by pc.
- */
-struct IssueCheckMeta
-{
-    std::uint64_t opMask = 0;  ///< dst + src scoreboard bits
-    bool globalMem = false;    ///< latClass(op) == GlobalMem
-};
 
 class WarpStore
 {
@@ -67,11 +60,7 @@ class WarpStore
     void setState(int slot, WarpState s)
     {
         state_[asIdx(slot)] = static_cast<std::uint8_t>(s);
-        if (meta_ != nullptr) {
-            const std::uint64_t bit = std::uint64_t{1} << slot;
-            readyMask_ = s == WarpState::Ready ? (readyMask_ | bit)
-                                               : (readyMask_ & ~bit);
-        }
+        assignBit(readyMask_, slot, s == WarpState::Ready);
     }
     bool resident(int slot) const
     {
@@ -83,22 +72,19 @@ class WarpStore
     void setPc(int slot, int pc)
     {
         pc_[asIdx(slot)] = pc;
-        if (meta_ != nullptr)
-            recomputeClean(slot);
+        recomputeClean(slot);
     }
 
     int pendingMem(int slot) const { return pendingMem_[asIdx(slot)]; }
     void setPendingMem(int slot, int n)
     {
         pendingMem_[asIdx(slot)] = n;
-        if (meta_ != nullptr)
-            recomputeClean(slot);
+        recomputeClean(slot);
     }
     void addPendingMem(int slot, int delta)
     {
         pendingMem_[asIdx(slot)] += delta;
-        if (meta_ != nullptr)
-            recomputeClean(slot);
+        recomputeClean(slot);
     }
 
     std::uint64_t wakeAt(int slot) const { return wakeAt_[asIdx(slot)]; }
@@ -131,40 +117,26 @@ class WarpStore
     void sbSet(int slot, RegId reg)
     {
         sbWord(slot, reg) |= std::uint64_t{1} << (reg & 63);
-        if (meta_ != nullptr)
-            recomputeClean(slot);
+        recomputeClean(slot);
     }
     void sbClear(int slot, RegId reg)
     {
         sbWord(slot, reg) &= ~(std::uint64_t{1} << (reg & 63));
-        if (meta_ != nullptr)
-            recomputeClean(slot);
+        recomputeClean(slot);
     }
     void sbReset(int slot)
     {
         std::uint64_t *words = &sb_[asIdx(slot) * sbStride_];
-        for (int i = 0; i < sbStride_; ++i)
+        for (std::size_t i = 0; i < sbStride_; ++i)
             words[i] = 0;
-        if (meta_ != nullptr)
-            recomputeClean(slot);
-    }
-    /**
-     * The slot's entire scoreboard as one word — only meaningful when
-     * the kernel's register count fits a single word (regCount() <=
-     * 64, i.e. every kernel this repo generates). The scheduler's
-     * fast issue check ANDs this against a precomputed per-instruction
-     * operand mask instead of testing registers one by one.
-     */
-    std::uint64_t sbWord0(int slot) const
-    {
-        return sb_[asIdx(slot) * sbStride_];
+        recomputeClean(slot);
     }
 
     int sbCount(int slot) const
     {
         const std::uint64_t *words = &sb_[asIdx(slot) * sbStride_];
         int n = 0;
-        for (int i = 0; i < sbStride_; ++i)
+        for (std::size_t i = 0; i < sbStride_; ++i)
             n += __builtin_popcountll(words[i]);
         return n;
     }
@@ -173,47 +145,76 @@ class WarpStore
     Bitmask sbToBitmask(int slot) const;
     void sbFromBitmask(int slot, const Bitmask &mask);
 
-    // --- Incremental scheduler masks ---
+    // --- Issue masks ---
     /**
-     * Activate the O(1) candidate masks: readyMask() tracks slots in
-     * WarpState::Ready and issueCleanMask() tracks slots whose current
-     * instruction passes the scoreboard and memory-structural issue
-     * checks. Both are maintained incrementally by the mutators above
-     * (a handful of recomputes per cycle), so the scheduler iterates
-     * set bits instead of sweeping every slot every cycle. Engages
-     * only when the geometry fits one word (<= 64 slots, single
-     * scoreboard word); otherwise the store stays in slow mode and
-     * masksActive() is false. @p meta (indexed by pc, @p count
-     * entries) must outlive the current geometry; reset() deactivates.
+     * Derive the per-pc issue metadata from @p program — for each pc
+     * the union of its destination and source scoreboard bits (one
+     * scoreboard-width word span) and whether it is a global-memory
+     * access — and recompute every slot's mask bits. From then on
+     * readyWord() tracks slots in WarpState::Ready and cleanWord()
+     * slots whose current instruction passes the scoreboard and the
+     * @p max_pending outstanding-memory checks; the mutators above keep
+     * both current (a handful of recomputes per cycle). reset() drops
+     * the metadata, leaving every slot unclean until the next call.
+     * Every operand of @p program must be below regCount().
      */
-    void setIssueMeta(const IssueCheckMeta *meta, std::size_t count,
-                      int max_pending);
+    void setIssueMeta(const Program &program, int max_pending);
 
-    bool masksActive() const { return meta_ != nullptr; }
-    /** Slots in WarpState::Ready (valid only when masksActive()). */
-    std::uint64_t readyMask() const { return readyMask_; }
-    /** Slots passing scoreboard + mem-structural checks at their
-     *  current pc (valid only when masksActive()). */
-    std::uint64_t issueCleanMask() const { return cleanMask_; }
+    /** Words per slot mask: ceil(numSlots() / 64). */
+    int slotWords() const { return slotWords_; }
+    /** Word @p w of the Ready-slot mask (bit = slot & 63). */
+    std::uint64_t readyWord(int w) const { return readyMask_[asIdx(w)]; }
+    /** Word @p w of the issue-clean mask: slots passing the scoreboard
+     *  and memory-structural checks at their current pc. */
+    std::uint64_t cleanWord(int w) const { return cleanMask_[asIdx(w)]; }
+    /** Slot is Ready and issue-clean (the scheduler's greedy test). */
+    bool readyClean(int slot) const
+    {
+        const std::size_t w = asIdx(slot >> 6);
+        return ((readyMask_[w] & cleanMask_[w]) >> (slot & 63) & 1) != 0;
+    }
+    /** An in-flight write hits an operand of the slot's current
+     *  instruction (why an unclean Ready slot is blocked: true for the
+     *  scoreboard, false for the outstanding-memory limit). */
+    bool sbBlocksIssue(int slot) const
+    {
+        return sbHitsOperands(slot, static_cast<std::size_t>(pc(slot)));
+    }
 
   private:
+    /** Scoreboard of @p slot intersects the operand mask of @p pc. Word
+     *  0 is tested outside the loop: it is the whole mask of every
+     *  kernel up to 64 registers, and the loop adds only a not-taken
+     *  branch for them. */
+    bool sbHitsOperands(int slot, std::size_t pc) const
+    {
+        const std::uint64_t *sb = sb_.data() + asIdx(slot) * sbStride_;
+        const std::uint64_t *ops = opMask_.data() + pc * sbStride_;
+        std::uint64_t hit = sb[0] & ops[0];
+        for (std::size_t w = 1; w < sbStride_; ++w)
+            hit |= sb[w] & ops[w];
+        return hit != 0;
+    }
+
     /** Re-derive slot's issue-clean bit from (pc, scoreboard,
      *  pendingMem) — the pure function the mask caches. */
     void recomputeClean(int slot)
     {
-        const std::uint64_t bit = std::uint64_t{1} << slot;
         // Negative or past-the-end pc (an exited warp's resting state)
         // maps to "not clean"; such slots are never Ready anyway.
         const std::size_t pc = static_cast<std::size_t>(
             static_cast<std::uint32_t>(pc_[asIdx(slot)]));
-        bool clean = pc < metaCount_;
-        if (clean) {
-            const IssueCheckMeta &m = meta_[pc];
-            clean = (sb_[asIdx(slot)] & m.opMask) == 0 &&
-                    !(m.globalMem &&
-                      pendingMem_[asIdx(slot)] >= maxPendingMem_);
-        }
-        cleanMask_ = clean ? (cleanMask_ | bit) : (cleanMask_ & ~bit);
+        assignBit(cleanMask_, slot,
+                  pc < globalMem_.size() && !sbHitsOperands(slot, pc) &&
+                      !(globalMem_[pc] &&
+                        pendingMem_[asIdx(slot)] >= maxPendingMem_));
+    }
+
+    void assignBit(std::vector<std::uint64_t> &mask, int slot, bool on)
+    {
+        std::uint64_t &word = mask[asIdx(slot >> 6)];
+        const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+        word = on ? (word | bit) : (word & ~bit);
     }
 
     std::size_t asIdx(int slot) const
@@ -234,13 +235,16 @@ class WarpStore
     int numSlots_ = 0;
     int regCount_ = 0;
     std::size_t regStride_ = 0;
-    int sbStride_ = 0;
+    std::size_t sbStride_ = 0;  ///< scoreboard words per slot
+    int slotWords_ = 0;
 
-    const IssueCheckMeta *meta_ = nullptr;
-    std::size_t metaCount_ = 0;
     int maxPendingMem_ = 0;
-    std::uint64_t readyMask_ = 0;
-    std::uint64_t cleanMask_ = 0;
+    std::vector<std::uint64_t> readyMask_;
+    std::vector<std::uint64_t> cleanMask_;
+    /** Per-pc operand masks, sbStride_ words per pc. */
+    std::vector<std::uint64_t> opMask_;
+    /** Per-pc global-memory flag; its size is the program length. */
+    std::vector<std::uint8_t> globalMem_;
 
     std::vector<SimWarp> cold_;
     std::vector<std::uint8_t> state_;

@@ -1,93 +1,73 @@
 /**
  * @file
  * Golden generator for tests/test_engine_equivalence.cc. Run from a
- * known-good build to (re)freeze the engine's observable behaviour:
+ * known-good build to freeze the engine's observable behaviour:
  *
- *     make-engine-goldens tests/golden
+ *     make-engine-goldens OUT_DIR
  *
- * emits engine_stats.tsv (one "case-key <TAB> statsToJson" line per
- * grid cell) and engine_v2.snap (a mid-run GpuSnapshot in whatever
- * codec version the generating build writes). The committed copies
- * were produced by the pre-refactor (PR 7) engine: heap-of-Events,
- * AoS SimWarp, no skip-ahead. test_engine_equivalence.cc replays the
- * same grid on the current engine and demands bit-identical SimStats,
- * so any accidental behaviour change in an engine rewrite fails
- * loudly against history rather than silently redefining truth.
+ * emits, for the grids of tests/engine_golden_cases.hh:
+ *
+ *  - engine_stats.tsv: one "case-key <TAB> statsToJson" line per cell
+ *    of goldenCases(). The committed copy was produced by the
+ *    pre-refactor engine: heap-of-Events, AoS SimWarp, no
+ *    skip-ahead.
+ *  - engine_stats_wide.tsv: the same for wideGoldenCases(), minus the
+ *    cells that throw KernelDoesNotFitError. The committed copy was
+ *    produced by the engine that still had separate one-word and
+ *    sweeping issue paths, i.e. by the sweeping path these geometries
+ *    took there.
+ *  - engine_v2.snap: a mid-run GpuSnapshot in whatever codec version
+ *    the generating build writes. The committed copy is a v2-codec
+ *    file; regenerating replaces it with the current codec.
+ *
+ * Write into a scratch directory and copy over only the fixture you
+ * mean to refreeze. test_engine_equivalence.cc replays the grids on
+ * the current engine and demands bit-identical SimStats, so an
+ * accidental behaviour change in an engine rewrite fails loudly
+ * against history rather than silently redefining truth.
  */
 
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "core/experiment.hh"
+#include "common/errors.hh"
+#include "engine_golden_cases.hh"
 #include "obs/export.hh"
-#include "sim/config.hh"
 #include "sim/snapshot.hh"
-#include "workloads/suite.hh"
 
 namespace {
 
-/** The fault plan every policy is replayed under (mirrors the test). */
-rm::FaultPlan
-goldenFaultPlan()
+/** Write one "key <TAB> stats" line per cell of @p cases to @p path;
+ *  cells whose kernel does not fit are skipped when @p skip_unfit. */
+bool
+writeGrid(const std::string &path,
+          const std::vector<rm::test::GoldenCase> &cases, bool skip_unfit)
 {
-    rm::FaultPlan plan;
-    plan.denyAcquire = {1000, 3000};
-    plan.memSpike = {500, 2500};
-    plan.memSpikeFactor = 4;
-    return plan;
-}
-
-struct Case
-{
-    std::string key;
-    std::string workload;
-    std::string policy;
-    bool faulted = false;
-    bool fullMachine = false;  // 4 SMs, gridCtas = 13
-};
-
-/** The equivalence grid. Keep in sync with test_engine_equivalence.cc. */
-std::vector<Case>
-goldenCases()
-{
-    std::vector<Case> cases;
-    const std::vector<std::string> policies = {"baseline", "regmutex",
-                                               "paired", "owf", "rfv"};
-    for (const std::string &policy : policies) {
-        cases.push_back({"BFS/" + policy + "/rep/clean", "BFS", policy,
-                         false, false});
-        cases.push_back({"BFS/" + policy + "/rep/faulted", "BFS", policy,
-                         true, false});
+    std::ofstream tsv(path);
+    if (!tsv) {
+        std::cerr << "cannot write " << path << '\n';
+        return false;
     }
-    for (const std::string &policy : {std::string("regmutex"),
-                                      std::string("rfv")}) {
-        cases.push_back({"BFS/" + policy + "/full4/clean", "BFS", policy,
-                         false, true});
+    for (const rm::test::GoldenCase &c : cases) {
+        rm::PolicyRun run;
+        try {
+            run = rm::test::runGoldenCase(c);
+        } catch (const rm::KernelDoesNotFitError &) {
+            if (!skip_unfit)
+                throw;
+            std::cout << c.key << ": does not fit (omitted)\n";
+            continue;
+        }
+        if (!run.result.completed()) {
+            std::cerr << c.key << ": did not complete\n";
+            return false;
+        }
+        tsv << c.key << '\t' << rm::statsToJson(run.stats()) << '\n';
+        std::cout << c.key << ": cycles=" << run.stats().cycles << '\n';
     }
-    cases.push_back({"SPMV/baseline/rep/clean", "SPMV", "baseline",
-                     false, false});
-    cases.push_back({"SPMV/regmutex/rep/clean", "SPMV", "regmutex",
-                     false, false});
-    return cases;
-}
-
-rm::PolicyRun
-runCase(const Case &c)
-{
-    rm::Program program = rm::buildWorkload(c.workload);
-    rm::GpuConfig config = rm::gtx480Config();
-    rm::RunOptions options;
-    if (c.fullMachine) {
-        program.info.gridCtas = 13;  // uneven share across 4 SMs
-        config.numSms = 4;
-        options.gpu.mode = rm::GpuOptions::Mode::FullMachine;
-    }
-    if (c.faulted)
-        options.gpu.fault = goldenFaultPlan();
-    return rm::runPolicy(c.policy, program, config, options);
+    return true;
 }
 
 } // namespace
@@ -96,26 +76,17 @@ int
 main(int argc, char **argv)
 {
     if (argc != 2) {
-        std::cerr << "usage: make-engine-goldens GOLDEN_DIR\n";
+        std::cerr << "usage: make-engine-goldens OUT_DIR\n";
         return 2;
     }
     const std::string dir = argv[1];
 
-    std::ofstream tsv(dir + "/engine_stats.tsv");
-    if (!tsv) {
-        std::cerr << "cannot write " << dir << "/engine_stats.tsv\n";
+    if (!writeGrid(dir + "/engine_stats.tsv", rm::test::goldenCases(),
+                   false) ||
+        !writeGrid(dir + "/engine_stats_wide.tsv",
+                   rm::test::wideGoldenCases(), true)) {
         return 1;
     }
-    for (const Case &c : goldenCases()) {
-        const rm::PolicyRun run = runCase(c);
-        if (!run.result.completed()) {
-            std::cerr << c.key << ": did not complete\n";
-            return 1;
-        }
-        tsv << c.key << '\t' << rm::statsToJson(run.stats()) << '\n';
-        std::cout << c.key << ": cycles=" << run.stats().cycles << '\n';
-    }
-    tsv.close();
 
     // Mid-run snapshot fixture: regmutex/BFS cut at cycle 2500. The
     // resumed run must reproduce BFS/regmutex/rep/clean exactly.

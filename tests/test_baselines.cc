@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "baselines/baseline.hh"
 #include "baselines/owf.hh"
 #include "baselines/rfv.hh"
@@ -52,14 +55,30 @@ class OwfTest : public ::testing::Test
         return inst;
     }
 
-    Instruction
-    privateInst() const
+    /** First pc of the program with register operands that touch a
+     *  shared (>= threshold) register iff @p shared — canIssue()
+     *  takes a pc of the prepared program. */
+    int
+    pcWhere(bool shared) const
     {
-        Instruction inst;
-        inst.op = Opcode::MovImm;
-        inst.dst = 0;
-        return inst;
+        for (std::size_t pc = 0; pc < program.code.size(); ++pc) {
+            const Instruction &inst = program.code[pc];
+            std::vector<RegId> regs(inst.srcs.begin(),
+                                    inst.srcs.begin() + inst.numSrcs);
+            if (inst.hasDst())
+                regs.push_back(inst.dst);
+            const bool touches = std::any_of(
+                regs.begin(), regs.end(),
+                [&](RegId r) { return r >= allocator.threshold(); });
+            if (!regs.empty() && touches == shared)
+                return static_cast<int>(pc);
+        }
+        ADD_FAILURE() << "no " << (shared ? "shared" : "private")
+                      << " instruction in the program";
+        return 0;
     }
+    int sharedPc() const { return pcWhere(true); }
+    int privatePc() const { return pcWhere(false); }
 
     GpuConfig config;
     Program program;
@@ -82,22 +101,22 @@ TEST_F(OwfTest, PairingCrossesSlotHalves)
 
 TEST_F(OwfTest, PrivateAccessAlwaysIssues)
 {
-    EXPECT_TRUE(allocator.canIssue(owner, privateInst()));
-    EXPECT_TRUE(allocator.canIssue(partner, privateInst()));
+    EXPECT_TRUE(allocator.canIssue(owner, privatePc()));
+    EXPECT_TRUE(allocator.canIssue(partner, privatePc()));
 }
 
 TEST_F(OwfTest, FirstSharedAccessTakesTheLock)
 {
-    EXPECT_TRUE(allocator.canIssue(owner, sharedInst()));
+    EXPECT_TRUE(allocator.canIssue(owner, sharedPc()));
     allocator.onIssued(owner, sharedInst(), 0);
     EXPECT_TRUE(owner.ownsLock);
     EXPECT_EQ(allocator.lockHolder(allocator.pairOf(owner.slot)),
               owner.slot);
     // The partner stalls on shared accesses but not private ones.
-    EXPECT_FALSE(allocator.canIssue(partner, sharedInst()));
-    EXPECT_TRUE(allocator.canIssue(partner, privateInst()));
+    EXPECT_FALSE(allocator.canIssue(partner, sharedPc()));
+    EXPECT_TRUE(allocator.canIssue(partner, privatePc()));
     // The owner keeps issuing shared accesses.
-    EXPECT_TRUE(allocator.canIssue(owner, sharedInst()));
+    EXPECT_TRUE(allocator.canIssue(owner, sharedPc()));
 }
 
 TEST_F(OwfTest, NoInKernelRelease)
@@ -105,10 +124,10 @@ TEST_F(OwfTest, NoInKernelRelease)
     // Unlike RegMutex nothing the owner does mid-kernel frees the
     // shared set; only its exit does.
     allocator.onIssued(owner, sharedInst(), 0);
-    EXPECT_FALSE(allocator.canIssue(partner, sharedInst()));
+    EXPECT_FALSE(allocator.canIssue(partner, sharedPc()));
     allocator.onWarpExit(owner);
     EXPECT_TRUE(allocator.consumeFreedFlag());
-    EXPECT_TRUE(allocator.canIssue(partner, sharedInst()));
+    EXPECT_TRUE(allocator.canIssue(partner, sharedPc()));
 }
 
 TEST_F(OwfTest, OwnerWarpFirstPriority)
@@ -128,11 +147,11 @@ TEST_F(OwfTest, LockStatCountsFirstSharedAccess)
 TEST_F(OwfTest, ForceProgressCoGrantsWithPenalty)
 {
     allocator.onIssued(owner, sharedInst(), 0);
-    EXPECT_FALSE(allocator.canIssue(partner, sharedInst()));
+    EXPECT_FALSE(allocator.canIssue(partner, sharedPc()));
     const int penalty = allocator.forceProgress(partner, 0);
     EXPECT_GT(penalty, 0);
     EXPECT_EQ(allocator.emergencyCount(), 1u);
-    EXPECT_TRUE(allocator.canIssue(partner, sharedInst()));
+    EXPECT_TRUE(allocator.canIssue(partner, sharedPc()));
 }
 
 TEST_F(OwfTest, PairFootprintLimitsOccupancy)
@@ -156,7 +175,7 @@ TEST(Owf, UncompiledProgramActsAsBaseline)
     Instruction inst;
     inst.op = Opcode::MovImm;
     inst.dst = 20;
-    EXPECT_TRUE(allocator.canIssue(warp, inst));
+    EXPECT_TRUE(allocator.canIssue(warp, 0));
     allocator.onIssued(warp, inst, 0);
     EXPECT_FALSE(warp.ownsLock);
 }
@@ -272,7 +291,7 @@ TEST(Rfv, ForceProgressOverdraftsAndCharges)
     EXPECT_EQ(allocator.emergencyCount(), 1u);
     EXPECT_TRUE(warp.physMapped.test(0));
     // The granted instruction can now issue even if the pool is dry.
-    EXPECT_TRUE(allocator.canIssue(warp, p.code[0]));
+    EXPECT_TRUE(allocator.canIssue(warp, 0));
 }
 
 } // namespace

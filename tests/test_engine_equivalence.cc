@@ -1,13 +1,18 @@
 /**
  * @file
  * Engine-history equivalence: the refactored hot core (SoA WarpStore,
- * indexed EventWheel, skip-ahead cycle loop) must reproduce the
- * pre-refactor engine bit for bit. tests/golden/engine_stats.tsv and
- * engine_v2.snap were frozen from the PR 7 build (heap-of-Events, AoS
- * SimWarp, per-cycle loop; see tests/make_engine_goldens.cc); this
- * suite replays the same grid on the current engine and demands
- * identical statsToJson documents, identical results with skip-ahead
- * disabled, and a bit-exact resume from the v2-codec snapshot fixture.
+ * indexed EventWheel, skip-ahead cycle loop, one multi-word issue-mask
+ * path) must reproduce earlier engines bit for bit.
+ * tests/golden/engine_stats.tsv and engine_v2.snap were frozen from the
+ * pre-refactor engine (heap-of-Events, AoS SimWarp, per-cycle loop);
+ * engine_stats_wide.tsv was frozen from the last engine with separate
+ * one-word and sweeping issue paths, over geometries (128 warp slots,
+ * 96 registers) that took the sweeping path there. The grids live in
+ * tests/engine_golden_cases.hh, shared with the generator
+ * (tests/make_engine_goldens.cc). This suite replays them on the
+ * current engine and demands identical statsToJson documents, with
+ * skip-ahead on and off and across SM thread counts, and a bit-exact
+ * resume from the v2-codec snapshot fixture.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "common/errors.hh"
 #include "core/experiment.hh"
+#include "engine_golden_cases.hh"
 #include "obs/export.hh"
 #include "sim/config.hh"
 #include "sim/event_wheel.hh"
@@ -34,110 +41,85 @@ goldenPath(const std::string &name)
     return std::string(RM_TEST_GOLDEN_DIR) + "/" + name;
 }
 
-/** key -> statsToJson document, loaded from engine_stats.tsv. */
+/** key -> statsToJson document, loaded from a golden TSV file. */
+std::map<std::string, std::string>
+loadGoldenTsv(const std::string &name)
+{
+    std::map<std::string, std::string> t;
+    std::ifstream in(goldenPath(name));
+    EXPECT_TRUE(in.good()) << "missing " << name << " fixture";
+    std::string line;
+    while (std::getline(in, line)) {
+        const std::size_t tab = line.find('\t');
+        if (tab == std::string::npos)
+            continue;
+        t.emplace(line.substr(0, tab), line.substr(tab + 1));
+    }
+    return t;
+}
+
 const std::map<std::string, std::string> &
 goldenStats()
 {
-    static const std::map<std::string, std::string> table = [] {
-        std::map<std::string, std::string> t;
-        std::ifstream in(goldenPath("engine_stats.tsv"));
-        EXPECT_TRUE(in.good()) << "missing engine_stats.tsv fixture";
-        std::string line;
-        while (std::getline(in, line)) {
-            const std::size_t tab = line.find('\t');
-            if (tab == std::string::npos)
-                continue;
-            t.emplace(line.substr(0, tab), line.substr(tab + 1));
-        }
-        return t;
-    }();
+    static const std::map<std::string, std::string> table =
+        loadGoldenTsv("engine_stats.tsv");
     return table;
 }
 
-/** The fault plan the goldens were frozen under (keep in sync with
- *  tests/make_engine_goldens.cc). */
-FaultPlan
-goldenFaultPlan()
+const std::map<std::string, std::string> &
+wideGoldenStats()
 {
-    FaultPlan plan;
-    plan.denyAcquire = {1000, 3000};
-    plan.memSpike = {500, 2500};
-    plan.memSpikeFactor = 4;
-    return plan;
+    static const std::map<std::string, std::string> table =
+        loadGoldenTsv("engine_stats_wide.tsv");
+    return table;
 }
 
-struct Case
-{
-    std::string key;
-    std::string workload;
-    std::string policy;
-    bool faulted = false;
-    bool fullMachine = false;
-};
-
-std::vector<Case>
-goldenCases()
-{
-    std::vector<Case> cases;
-    const std::vector<std::string> policies = {"baseline", "regmutex",
-                                               "paired", "owf", "rfv"};
-    for (const std::string &policy : policies) {
-        cases.push_back({"BFS/" + policy + "/rep/clean", "BFS", policy,
-                         false, false});
-        cases.push_back({"BFS/" + policy + "/rep/faulted", "BFS", policy,
-                         true, false});
-    }
-    for (const std::string &policy : {std::string("regmutex"),
-                                      std::string("rfv")}) {
-        cases.push_back({"BFS/" + policy + "/full4/clean", "BFS", policy,
-                         false, true});
-    }
-    cases.push_back({"SPMV/baseline/rep/clean", "SPMV", "baseline",
-                     false, false});
-    cases.push_back({"SPMV/regmutex/rep/clean", "SPMV", "regmutex",
-                     false, false});
-    return cases;
-}
-
-PolicyRun
-runCase(const Case &c, int threads, bool skip_ahead)
-{
-    Program program = buildWorkload(c.workload);
-    GpuConfig config = gtx480Config();
-    RunOptions options;
-    options.gpu.control.skipAhead = skip_ahead;
-    if (c.fullMachine) {
-        program.info.gridCtas = 13;
-        config.numSms = 4;
-        options.gpu.mode = GpuOptions::Mode::FullMachine;
-        options.gpu.threads = threads;
-    }
-    if (c.faulted)
-        options.gpu.fault = goldenFaultPlan();
-    return runPolicy(c.policy, program, config, options);
-}
+using test::GoldenCase;
+using test::goldenCases;
+using test::runGoldenCase;
+using test::wideGoldenCases;
 
 void
-expectMatchesGolden(const Case &c, int threads, bool skip_ahead = true)
+expectMatchesGolden(const GoldenCase &c, int threads, bool skip_ahead = true)
 {
     const auto it = goldenStats().find(c.key);
     ASSERT_NE(it, goldenStats().end()) << "no golden for " << c.key;
-    const PolicyRun run = runCase(c, threads, skip_ahead);
+    const PolicyRun run = runGoldenCase(c, threads, skip_ahead);
     ASSERT_TRUE(run.result.completed()) << c.key;
     EXPECT_EQ(statsToJson(run.stats()), it->second)
         << c.key << " (threads=" << threads << ") diverged from the "
         << "pre-refactor golden";
 }
 
+/** A wide cell matches its frozen stats — or, when the file has no
+ *  line for it, still does not fit the machine under its policy. */
+void
+expectMatchesWideGolden(const GoldenCase &c, int threads, bool skip_ahead)
+{
+    const auto it = wideGoldenStats().find(c.key);
+    if (it == wideGoldenStats().end()) {
+        EXPECT_THROW(runGoldenCase(c, threads, skip_ahead),
+                     KernelDoesNotFitError)
+            << c.key << " has no golden but now fits";
+        return;
+    }
+    const PolicyRun run = runGoldenCase(c, threads, skip_ahead);
+    ASSERT_TRUE(run.result.completed()) << c.key;
+    EXPECT_EQ(statsToJson(run.stats()), it->second)
+        << c.key << " (threads=" << threads << ", skip-ahead "
+        << (skip_ahead ? "on" : "off") << ") diverged from the "
+        << "multi-path golden";
+}
+
 TEST(EngineEquivalence, MatchesPreRefactorGoldens)
 {
-    for (const Case &c : goldenCases())
+    for (const GoldenCase &c : goldenCases())
         expectMatchesGolden(c, 1);
 }
 
 TEST(EngineEquivalence, FullMachineMatchesAcrossThreadCounts)
 {
-    for (const Case &c : goldenCases()) {
+    for (const GoldenCase &c : goldenCases()) {
         if (c.fullMachine)
             expectMatchesGolden(c, 8);
     }
@@ -145,9 +127,33 @@ TEST(EngineEquivalence, FullMachineMatchesAcrossThreadCounts)
 
 TEST(EngineEquivalence, SkipAheadOffIsBitIdentical)
 {
-    for (const Case &c : goldenCases()) {
+    for (const GoldenCase &c : goldenCases()) {
         if (!c.fullMachine)
             expectMatchesGolden(c, 1, /*skip_ahead=*/false);
+    }
+}
+
+TEST(EngineEquivalence, WideGeometryMatchesGoldens)
+{
+    // Sanity: the fixture really covers both multi-word dimensions.
+    EXPECT_GE(wideGoldenStats().size(), 15u);
+    for (const GoldenCase &c : wideGoldenCases())
+        expectMatchesWideGolden(c, 1, true);
+}
+
+TEST(EngineEquivalence, WideGeometrySkipAheadOffIsBitIdentical)
+{
+    for (const GoldenCase &c : wideGoldenCases()) {
+        if (!c.fullMachine)
+            expectMatchesWideGolden(c, 1, false);
+    }
+}
+
+TEST(EngineEquivalence, WideFullMachineMatchesAcrossThreadCounts)
+{
+    for (const GoldenCase &c : wideGoldenCases()) {
+        if (c.fullMachine)
+            expectMatchesWideGolden(c, 8, true);
     }
 }
 

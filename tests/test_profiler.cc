@@ -181,6 +181,29 @@ TEST(ProfilerSpans, NestedSpansMergeCorrectlyUnderParallelFor)
     }
 }
 
+TEST(ProfilerSpans, ReportRightAfterParallelForIsRaceFree)
+{
+    // A pool worker closes its pool.task_run / pool.task_wait spans
+    // after the task body has let parallelFor return, so those records
+    // can land while report() merges the worker's buffer. Repeat the
+    // pattern so a sanitizer build catches an unguarded merge (the
+    // span vector reallocating under the copy).
+    constexpr int kRounds = 200;
+    constexpr int kIters = 16;
+    for (int round = 0; round < kRounds; ++round) {
+        ProfilerSession session;
+        parallelFor(
+            kIters,
+            [](int i) { RM_PROF_SCOPE_ARG(ProfPhase::GpuSmRun, i); }, 0);
+        const ProfReport report = Profiler::report();
+        ASSERT_EQ(report.phases[static_cast<std::size_t>(
+                                    ProfPhase::GpuSmRun)]
+                      .count,
+                  static_cast<std::uint64_t>(kIters))
+            << "round " << round;
+    }
+}
+
 TEST(ProfilerSpans, EnableStartsAFreshSession)
 {
     {
