@@ -13,8 +13,6 @@
 #include "common/table.hh"
 #include "core/experiment.hh"
 #include "obs/report.hh"
-#include "regmutex/allocator.hh"
-#include "sim/gpu.hh"
 #include "sim/trace.hh"
 #include "workloads/generator.hh"
 
@@ -49,18 +47,23 @@ main(int argc, char **argv)
     };
     const Program p = buildKernel(spec, 1);
 
-    const SimStats base = runBaseline(p, config);
+    const SimStats base = runPolicy("baseline", p, config).stats();
 
-    CompileOptions options;
-    options.forcedEs = 16;  // the figure's 16/16 split
-    const RegMutexRun rmx = runRegMutex(p, config, options);
+    // The issue-stage trace of the RegMutex run feeds the timeline.
+    IssueTrace timeline(1 << 16);
+    RunOptions options;
+    options.compile.forcedEs = 16;  // the figure's 16/16 split
+    options.gpu.obs.trace = &timeline;
+    const PolicyRun rmx = runPolicy("regmutex", p, config, options);
+    const SimStats &stats = rmx.stats();
+    const EsSelection &split = rmx.compile.compile->selection;
 
     report.addRun(base, {{"policy", "baseline"}});
-    report.addRun(rmx.stats, {{"policy", "regmutex"}},
-                  {{"cycle_reduction", cycleReduction(base, rmx.stats)},
-                   {"bs", rmx.compile.selection.bs},
-                   {"es", rmx.compile.selection.es},
-                   {"srp_sections", rmx.compile.selection.srpSections}});
+    report.addRun(stats, {{"policy", "regmutex"}},
+                  {{"cycle_reduction", cycleReduction(base, stats)},
+                   {"bs", split.bs},
+                   {"es", split.es},
+                   {"srp_sections", split.srpSections}});
 
     Table table({"configuration", "resident warps", "cycles",
                  "overlap"});
@@ -75,8 +78,8 @@ main(int argc, char **argv)
     {
         Row row;
         row << "RegMutex (|Bs|=16, |Es|=16, SRP=16)"
-            << rmx.stats.theoreticalWarps
-            << static_cast<unsigned long long>(rmx.stats.cycles)
+            << stats.theoreticalWarps
+            << static_cast<unsigned long long>(stats.cycles)
             << "release-state portions";
         table.addRow(row.take());
     }
@@ -84,33 +87,22 @@ main(int argc, char **argv)
     std::cout << "Fig. 2: two warps, 48 hardware registers per "
                  "thread, 31 architected registers each\n\n"
               << table.toText() << "\n"
-              << "RegMutex split chosen: |Bs| = "
-              << rmx.compile.selection.bs << ", |Es| = "
-              << rmx.compile.selection.es << ", SRP sections = "
-              << rmx.compile.selection.srpSections << "\n"
-              << "acquires executed: " << rmx.stats.acquireAttempts
-              << ", successful: " << rmx.stats.acquireSuccesses
-              << ", releases: " << rmx.stats.releases << "\n"
+              << "RegMutex split chosen: |Bs| = " << split.bs
+              << ", |Es| = " << split.es
+              << ", SRP sections = " << split.srpSections << "\n"
+              << "acquires executed: " << stats.acquireAttempts
+              << ", successful: " << stats.acquireSuccesses
+              << ", releases: " << stats.releases << "\n"
               << "cycle reduction vs baseline: "
-              << percent(cycleReduction(base, rmx.stats)) << "\n\n"
+              << percent(cycleReduction(base, stats)) << "\n\n"
               << "Paper's claim: the baseline reserves 31 registers "
                  "per warp for the full duration, preventing any "
                  "overlap (2 x 31 > 48); RegMutex overlaps the "
                  "release-state code and serializes only the "
                  "extended-set regions.\n\n";
 
-    // The figure's timeline, from the issue-stage trace: acquire,
-    // release, stall and lifetime events of the two warps.
-    IssueTrace timeline(1 << 16);
-    {
-        RegMutexAllocator allocator;
-        allocator.prepare(config, rmx.compile.program);
-        SimOptions sim_options;
-        sim_options.mapper = allocator.makeMapper();
-        sim_options.trace = &timeline;
-        simulate(config, rmx.compile.program, allocator,
-                 std::move(sim_options), /*prepare_allocator=*/false);
-    }
+    // The figure's timeline: acquire, release, stall and lifetime
+    // events of the two warps.
     std::cout << "RegMutex timeline (acquire/release/lifetime events "
                  "only):\n";
     for (const TraceEvent &event : timeline.events()) {

@@ -65,7 +65,8 @@ BM_TimingSimulatorBaseline(benchmark::State &state)
     const rm::GpuConfig config = rm::gtx480Config();
     std::uint64_t cycles = 0;
     for (auto _ : state) {
-        const rm::SimStats stats = rm::runBaseline(p, config);
+        const rm::SimStats stats =
+            rm::runPolicy("baseline", p, config).stats();
         cycles += stats.cycles;
         benchmark::DoNotOptimize(stats.cycles);
     }
@@ -80,7 +81,8 @@ BM_TimingSimulatorRegMutex(benchmark::State &state)
     const rm::Program p = rm::buildWorkload("BFS");
     const rm::GpuConfig config = rm::gtx480Config();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(rm::runRegMutex(p, config).stats);
+        benchmark::DoNotOptimize(
+            rm::runPolicy("regmutex", p, config).stats());
     }
 }
 BENCHMARK(BM_TimingSimulatorRegMutex)->Unit(benchmark::kMillisecond);
@@ -174,8 +176,8 @@ BENCHMARK(BM_WorkloadGenerator);
 /**
  * Custom main instead of BENCHMARK_MAIN(): `--json <path>` expands to
  * google-benchmark's `--benchmark_out=<path> --benchmark_out_format=
- * json` so rm-bench (and scripts/run_all_benches.sh) can fold the
- * micro numbers into the perf trajectory with one uniform flag. All
+ * json`, the same flag the figure benches take, so
+ * scripts/run_all_benches.sh captures every report uniformly. All
  * other arguments pass through to google-benchmark untouched.
  */
 int

@@ -12,10 +12,16 @@
  *   regmutex_cc [--half-rf] [--es N] [--coalesce N] [--report]
  *               <kernel.asm>   (or a bundled workload name)
  *
+ * --report adds, on stderr, what the compiler derived: the input's
+ * register pressure per basic block, the |Es| candidate table, the
+ * chosen split, the validator's verdict on the output, and the
+ * liveness matrix of the transformed kernel.
+ *
  * Example:
  *   ./examples/regmutex_cc BFS | ./examples/regmutex_cc -   # idempotence check fails: already compiled
  */
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -25,9 +31,70 @@
 #include "analysis/liveness.hh"
 #include "analysis/liveness_report.hh"
 #include "common/errors.hh"
+#include "common/table.hh"
 #include "compiler/pipeline.hh"
+#include "compiler/validator.hh"
 #include "isa/asm_parser.hh"
 #include "workloads/suite.hh"
+
+namespace {
+
+int
+usage()
+{
+    std::cerr << "usage: regmutex_cc [--half-rf] [--es N] [--coalesce N] "
+                 "[--report] <kernel.asm|name|->\n";
+    return 2;
+}
+
+/** Per-block min/max live-register counts of @p program. */
+std::string
+pressureTable(const rm::Program &program)
+{
+    using namespace rm;
+    const Cfg cfg = Cfg::build(program);
+    const Liveness live = Liveness::compute(program, cfg);
+    Table table({"block", "insts", "min live", "max live"});
+    for (const auto &block : cfg.blocks()) {
+        int lo = 1 << 30, hi = 0;
+        for (int i = block.first; i <= block.last; ++i) {
+            lo = std::min(lo, live.liveCount(i));
+            hi = std::max(hi, live.liveCount(i));
+        }
+        Row row;
+        row << block.id << block.size() << lo << hi;
+        table.addRow(row.take());
+    }
+    return table.toText();
+}
+
+/** The |Es| heuristic's candidates, chosen split and validator verdict. */
+std::string
+selectionReport(const rm::CompileResult &compiled)
+{
+    using namespace rm;
+    Table cands({"|Es|", "|Bs|", "CTAs", "warps", "SRP sections",
+                 "barrier rule", "half rule"});
+    for (const auto &cand : compiled.selection.candidates) {
+        Row row;
+        row << cand.es << cand.bs << cand.ctasPerSm << cand.warpsPerSm
+            << cand.srpSections << (cand.meetsBarrierRule ? "ok" : "X")
+            << (cand.passesHalfRule ? "pass" : "fail");
+        cands.addRow(row.take());
+    }
+    const ValidationReport verdict = validateRegMutex(compiled.program);
+    std::ostringstream os;
+    os << "Extended-set size candidates:\n" << cands.toText()
+       << "\nChosen: |Bs| = " << compiled.selection.bs
+       << ", |Es| = " << compiled.selection.es << " ("
+       << compiled.selection.srpSections << " SRP sections); "
+       << "residual low-pressure held instructions: "
+       << compiled.wastedHeldInsts << "\n"
+       << "Validator: " << (verdict.ok ? "OK" : verdict.error) << "\n";
+    return os.str();
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -44,23 +111,33 @@ main(int argc, char **argv)
         auto next = [&]() -> std::string {
             if (i + 1 >= argc) {
                 std::cerr << arg << " needs a value\n";
-                exit(2);
+                exit(usage());
             }
             return argv[++i];
+        };
+        auto nextNumber = [&]() -> int {
+            const std::string text = next();
+            try {
+                std::size_t used = 0;
+                const int v = std::stoi(text, &used);
+                if (used == text.size())
+                    return v;
+            } catch (const std::exception &) {
+            }
+            std::cerr << arg << " needs a number, got '" << text
+                      << "'\n";
+            exit(usage());
         };
         if (arg == "--half-rf") {
             config = halfRegisterFile(config);
         } else if (arg == "--es") {
-            options.forcedEs = std::stoi(next());
+            options.forcedEs = nextNumber();
         } else if (arg == "--coalesce") {
-            options.coalesceGap = std::stoi(next());
+            options.coalesceGap = nextNumber();
         } else if (arg == "--report") {
             report = true;
         } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            std::cerr << "usage: regmutex_cc [--half-rf] [--es N] "
-                         "[--coalesce N] [--report] <kernel.asm|name|->"
-                      << "\n";
-            return 2;
+            return usage();
         } else {
             target = arg;
         }
@@ -108,6 +185,10 @@ main(int argc, char **argv)
 
         std::cout << emitProgram(compiled.program);
         if (report) {
+            std::cerr << "Register pressure by block:\n"
+                      << pressureTable(program) << "\n";
+            if (compiled.enabled())
+                std::cerr << selectionReport(compiled) << "\n";
             const Cfg cfg = Cfg::build(compiled.program);
             const Liveness live =
                 Liveness::compute(compiled.program, cfg);

@@ -1,9 +1,9 @@
 /**
  * @file
- * `rm-inspect` — run inspector for the observability layer: simulates
- * one workload under one allocation policy with the full metrics stack
- * attached (registry + interval sampler + issue trace) and emits the
- * machine-readable artifacts next to a human summary:
+ * `rm-inspect` — the simulator CLI: simulates one workload (or .asm
+ * kernel) under one registered allocation policy with the full metrics
+ * stack attached (registry + interval sampler + issue trace) and emits
+ * the machine-readable artifacts next to a human summary:
  *
  *   rm-inspect --kernel BFS --allocator regmutex \
  *       --json out.json --csv series.csv --chrome-trace out.trace.json
@@ -32,6 +32,14 @@
  *                            Chrome trace (distinct from --chrome-trace,
  *                            which records *simulated* issue slots)
  *   --half-rf | --es N | --lrr | --poll | --list
+ *
+ * Text dumps (stdout, before the summary):
+ *   --trace N                print the last N issue-stage events with
+ *                            their disassembly (sets the trace ring's
+ *                            capacity, shared with --chrome-trace)
+ *   --asm                    the executed (compiled) program listing
+ *   --liveness               the nvdisasm-style liveness matrix
+ *   --energy                 the register-file energy estimate
  *
  * Fault injection (docs/ROBUSTNESS.md; all cycles are simulated):
  *   --fault-deny-acquire FROM:UNTIL    deny SRP acquires in [FROM,UNTIL)
@@ -78,17 +86,22 @@
 #include <string>
 #include <vector>
 
+#include "analysis/cfg.hh"
 #include "analysis/lint.hh"
+#include "analysis/liveness.hh"
+#include "analysis/liveness_report.hh"
 #include "common/errors.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/experiment.hh"
 #include "core/policy.hh"
 #include "isa/asm_parser.hh"
+#include "isa/disasm.hh"
 #include "obs/export.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/sampler.hh"
+#include "regmutex/energy.hh"
 #include "sim/gpu.hh"
 #include "sim/trace.hh"
 #include "workloads/suite.hh"
@@ -108,6 +121,7 @@ usage()
            "  --json PATH | --csv PATH | --chrome-trace PATH\n"
            "  --sample-interval N | --trace-capacity N | --pretty\n"
            "  --lint | --profile PATH\n"
+           "  --trace N | --asm | --liveness | --energy\n"
            "  --half-rf | --es N | --lrr | --poll | --list\n"
            "  --fault-deny-acquire FROM:UNTIL\n"
            "  --fault-delay-release FROM:UNTIL:DELAY\n"
@@ -227,6 +241,10 @@ main(int argc, char **argv)
     int threads = 0;
     bool pretty = false;
     bool lint = false;
+    std::size_t trace_events = 0;
+    bool dump_asm = false;
+    bool dump_liveness = false;
+    bool print_energy = false;
     std::uint64_t max_cycles = 0;
     double wall_deadline_seconds = 0.0;
     bool sanitize = false;
@@ -286,6 +304,18 @@ main(int argc, char **argv)
             lint = true;
         } else if (arg == "--profile") {
             profile_path = next();
+        } else if (arg == "--trace") {
+            trace_events = nextNumber();
+            if (trace_events == 0) {
+                std::cerr << "--trace needs at least 1 event\n";
+                return usage();
+            }
+        } else if (arg == "--asm") {
+            dump_asm = true;
+        } else if (arg == "--liveness") {
+            dump_liveness = true;
+        } else if (arg == "--energy") {
+            print_energy = true;
         } else if (arg == "--half-rf") {
             config = halfRegisterFile(config);
         } else if (arg == "--es") {
@@ -372,11 +402,11 @@ main(int argc, char **argv)
         // The full observability stack: registry + sampler + trace.
         MetricsRegistry registry;
         Sampler sampler(registry, sample_interval);
-        IssueTrace trace(trace_capacity);
+        IssueTrace trace(trace_events > 0 ? trace_events : trace_capacity);
         ObsSinks obs;
         obs.metrics = &registry;
         obs.sampler = &sampler;
-        if (!chrome_path.empty())
+        if (!chrome_path.empty() || trace_events > 0)
             obs.trace = &trace;
 
         const PolicySpec *policy =
@@ -497,6 +527,17 @@ main(int argc, char **argv)
                       << profileTable(profile);
         }
 
+        if (trace_events > 0)
+            trace.dump(std::cout, executed);
+        if (dump_asm)
+            std::cout << disassemble(executed);
+        if (dump_liveness) {
+            const Cfg cfg = Cfg::build(executed);
+            const Liveness live = Liveness::compute(executed, cfg);
+            std::cout << renderLiveness(executed, live,
+                                        executed.regmutex.baseRegs);
+        }
+
         if (pretty) {
             std::cout << prettyPrint(document) << "\n";
         } else {
@@ -506,6 +547,22 @@ main(int argc, char **argv)
             };
             add("kernel", stats.kernelName);
             add("allocator", stats.allocatorName);
+            if (const auto &compiled = run.compile.compile) {
+                if (compiled->enabled()) {
+                    const EsSelection &split = compiled->selection;
+                    add("compiled |Bs| / |Es|",
+                        std::to_string(split.bs) + " / " +
+                            std::to_string(split.es));
+                    add("SRP sections", std::to_string(split.srpSections));
+                    add("injected acquires / releases",
+                        std::to_string(compiled->injected.acquires) +
+                            " / " +
+                            std::to_string(compiled->injected.releases));
+                } else {
+                    add("compiled", "RegMutex not applied (not "
+                                    "register-limited)");
+                }
+            }
             add("cycles", std::to_string(stats.cycles));
             add("instructions", std::to_string(stats.instructions));
             add("IPC", fixed(stats.ipc(), 3));
@@ -543,6 +600,15 @@ main(int argc, char **argv)
                     std::to_string(lo) + "-" + std::to_string(hi));
             }
             std::cout << table.toText();
+        }
+        if (print_energy) {
+            const EnergyReport energy = estimateEnergy(config, stats);
+            std::cout << "\nregister-file energy (normalized): total "
+                      << fixed(energy.total(), 1) << "  (dynamic "
+                      << fixed(energy.dynamicEnergy, 1) << ", leakage "
+                      << fixed(energy.leakageEnergy, 1)
+                      << ", directives "
+                      << fixed(energy.directiveEnergy, 1) << ")\n";
         }
 
         auto report = [&](const char *what, const std::string &path) {

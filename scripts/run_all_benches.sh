@@ -147,8 +147,7 @@ for name in "${REQUIRED[@]}"; do
 done
 
 # Benches with no figure/table report still run; micro_hotpaths gets
-# its google-benchmark JSON captured so rm-bench --micro can fold the
-# numbers into the perf trajectory (docs/BENCHMARKS.md).
+# its google-benchmark JSON captured next to the figure reports.
 for b in "$BUILD"/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
     name="$(basename "$b")"

@@ -30,22 +30,6 @@ ctasPerSmShare(const GpuConfig &config, const Program &program)
 }
 
 SimStats
-simulate(const GpuConfig &config, const Program &program,
-         RegisterAllocator &allocator, SimOptions options,
-         bool prepare_allocator)
-{
-    program.verify();
-    if (prepare_allocator)
-        allocator.prepare(config, program);
-
-    GlobalMemory gmem(options.log2MemWords, options.memSeed);
-    Sm sm(config, program, allocator, ctasPerSmShare(config, program),
-          gmem, std::move(options.mapper), options.trace, options.metrics,
-          options.sampler, options.smId, options.fault);
-    return sm.run();
-}
-
-SimStats
 mergeSmStats(const std::vector<SimStats> &per_sm)
 {
     RM_PROF_SCOPE(ProfPhase::GpuMerge);

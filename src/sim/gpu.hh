@@ -40,44 +40,14 @@ namespace rm {
 class MetricsRegistry;
 class Sampler;
 
-/** Simulation inputs beyond the kernel and architecture. */
-struct SimOptions
-{
-    std::uint64_t memSeed = 1;
-    int log2MemWords = 20;
-    /**
-     * Operand-collector mapping to verify every access against
-     * (paper Fig. 6). Policies that rename registers (RFV) run without
-     * one.
-     */
-    std::optional<RegisterMapper> mapper;
-    /** Optional issue-stage trace, owned by the caller. */
-    IssueTrace *trace = nullptr;
-    /**
-     * Optional metrics registry (obs/metrics.hh) the SM populates with
-     * named counters/gauges/histograms, and an optional interval
-     * sampler (obs/sampler.hh) ticked once per simulated cycle. Both
-     * are owned by the caller; leaving them null disables the
-     * observability hooks entirely — simulated cycle counts are
-     * identical either way (metrics never feed back into timing).
-     */
-    MetricsRegistry *metrics = nullptr;
-    Sampler *sampler = nullptr;
-    /**
-     * Deterministic fault-injection plan (sim/fault.hh). The default
-     * plan injects nothing and adds no overhead beyond a few branch
-     * checks.
-     */
-    FaultPlan fault;
-    /** SM id recorded in forensics snapshots (single-SM entry point). */
-    int smId = 0;
-};
-
 /**
- * Bundled observability sinks: the facade runners and the Gpu engine
- * build their own SimOptions, so callers pass the sinks separately and
- * the runner threads them in. None of the sink types are thread-safe,
- * so in FullMachine mode each SM needs its own set (see
+ * Bundled observability sinks, all owned by the caller: an issue-stage
+ * trace, a metrics registry (obs/metrics.hh) the SM populates with
+ * named counters/gauges/histograms, and an interval sampler
+ * (obs/sampler.hh) ticked once per simulated cycle. Leaving them null
+ * disables the hooks; simulated cycle counts are identical either way
+ * (sinks never feed back into timing). None of the sink types are
+ * thread-safe, so in FullMachine mode each SM needs its own set (see
  * GpuOptions::sinksForSm).
  */
 struct ObsSinks
@@ -241,17 +211,6 @@ class Gpu
 GpuResult simulateGpu(const GpuConfig &config, const Program &program,
                       const AllocatorFactory &factory,
                       GpuOptions options = {});
-
-/**
- * Simulate @p program on one representative SM of @p config under
- * @p allocator (which must already be prepared by the caller, or will
- * be prepared here if @p prepare_allocator is true). This is the seed
- * entry point; the Gpu engine's Representative mode produces
- * bit-identical statistics.
- */
-SimStats simulate(const GpuConfig &config, const Program &program,
-                  RegisterAllocator &allocator, SimOptions options = {},
-                  bool prepare_allocator = true);
 
 /**
  * CTAs SM @p sm_id executes for a @p grid_ctas-CTA grid under

@@ -100,7 +100,8 @@ TEST(MultiSm, FullMachineWithOneSmMatchesSeedSimulatePath)
     GpuConfig config = gtx480Config();
     config.numSms = 1;
 
-    const SimStats seed = runBaseline(p, config);
+    // The default Representative mode is the seed model.
+    const SimStats seed = runPolicy("baseline", p, config).stats();
 
     RunOptions options;
     options.gpu.mode = GpuOptions::Mode::FullMachine;
@@ -115,13 +116,13 @@ TEST(MultiSm, RepresentativeModeIsTheDefaultSeedBehavior)
     const Program p = buildWorkload("ParticleFilter");
     const GpuConfig config = gtx480Config(); // 15 SMs in the config
 
-    const SimStats seed = runBaseline(p, config);
     const PolicyRun run = runPolicy("baseline", p, config);
 
     // Default mode simulates one representative SM regardless of
-    // config.numSms, exactly like the seed facade.
+    // config.numSms: SM 0 with its share of the grid.
     ASSERT_EQ(run.result.numSms(), 1);
-    expectSameStats(seed, run.stats());
+    EXPECT_EQ(run.stats().ctasCompleted,
+              static_cast<std::uint64_t>(ctasPerSmShare(config, p)));
 }
 
 TEST(MultiSm, DeterministicAcrossEngineThreadCounts)
@@ -193,7 +194,7 @@ TEST(MultiSm, FullMachineAgreesWithRepresentativeModel)
     const Program p = buildWorkload("BFS");
     const GpuConfig config = gtx480Config();
 
-    const SimStats rep = runBaseline(p, config);
+    const SimStats rep = runPolicy("baseline", p, config).stats();
 
     RunOptions options;
     options.gpu.mode = GpuOptions::Mode::FullMachine;

@@ -290,7 +290,7 @@ collectKeys(const JsonValue &value, const std::string &prefix,
 TEST(Export, SimStatsJsonKeysMatchGoldenFile)
 {
     const Program p = buildWorkload("BFS");
-    const SimStats stats = runBaseline(p, gtx480Config());
+    const SimStats stats = runPolicy("baseline", p, gtx480Config()).stats();
     const JsonValue doc = parseJson(statsToJson(stats));
     std::vector<std::string> keys;
     collectKeys(doc, "", keys);
@@ -463,18 +463,18 @@ class ObservedRun : public ::testing::Test
     SetUp() override
     {
         const Program p = buildWorkload("BFS");
-        ObsSinks obs;
-        obs.metrics = &registry;
-        obs.sampler = &sampler;
-        obs.trace = &trace;
-        run = runRegMutex(p, gtx480Config(), {}, obs);
+        RunOptions options;
+        options.gpu.obs.metrics = &registry;
+        options.gpu.obs.sampler = &sampler;
+        options.gpu.obs.trace = &trace;
+        run = runPolicy("regmutex", p, gtx480Config(), options);
         executed = run.compile.program;
     }
 
     MetricsRegistry registry;
     Sampler sampler{registry, 500};
     IssueTrace trace{1 << 18};
-    RegMutexRun run;
+    PolicyRun run;
     Program executed;
 };
 
@@ -520,10 +520,10 @@ expectRegistryMirrorsStats(const MetricsRegistry &registry,
 
 TEST_F(ObservedRun, MetricsMirrorSimStats)
 {
-    expectRegistryMirrorsStats(registry, run.stats);
+    expectRegistryMirrorsStats(registry, run.stats());
     // Every successful acquire observed a wait (possibly zero cycles).
     EXPECT_EQ(registry.histogram("srp.acquire_wait_cycles").count(),
-              run.stats.acquireSuccesses);
+              run.stats().acquireSuccesses);
     // All SRP sections released by the end of the run.
     EXPECT_EQ(registry.gauge("srp.holders").value(), 0);
 }
@@ -589,8 +589,8 @@ TEST_F(ObservedRun, SamplerCoversTheRun)
 {
     ASSERT_FALSE(sampler.samples().empty());
     EXPECT_EQ(sampler.samples().front().cycle, 500u);
-    EXPECT_LE(sampler.samples().back().cycle, run.stats.cycles);
-    EXPECT_EQ(sampler.samples().size(), run.stats.cycles / 500);
+    EXPECT_LE(sampler.samples().back().cycle, run.stats().cycles);
+    EXPECT_EQ(sampler.samples().size(), run.stats().cycles / 500);
 }
 
 TEST_F(ObservedRun, ChromeTraceIsValidAndBalanced)
@@ -623,9 +623,9 @@ TEST_F(ObservedRun, ChromeTraceIsValidAndBalanced)
 TEST_F(ObservedRun, DisablingSinksChangesNoCycles)
 {
     const Program p = buildWorkload("BFS");
-    const RegMutexRun plain = runRegMutex(p, gtx480Config());
-    EXPECT_EQ(plain.stats.cycles, run.stats.cycles);
-    EXPECT_EQ(plain.stats.instructions, run.stats.instructions);
+    const PolicyRun plain = runPolicy("regmutex", p, gtx480Config());
+    EXPECT_EQ(plain.stats().cycles, run.stats().cycles);
+    EXPECT_EQ(plain.stats().instructions, run.stats().instructions);
 }
 
 // --- Hostile input ---

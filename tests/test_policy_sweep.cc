@@ -1,7 +1,7 @@
 /**
  * @file
- * The policy registry and the parallel sweep runner: the built-in
- * policies reproduce the seed facade entry points bit-exactly, lookups
+ * The policy registry and the parallel sweep runner: a policy runs the
+ * same by name and by ad-hoc specification, lookups
  * fail loudly with the known names, custom policies register and run,
  * sweepGrid() ordering is deterministic, and runSweep() results do not
  * depend on the sweep thread count.
@@ -67,40 +67,37 @@ TEST(PolicyRegistry, CustomPolicyRegistersAndRuns)
     EXPECT_EQ(run.stats().ctasCompleted, 8u);
 }
 
-TEST(PolicyFacade, MatchesLegacyEntryPoints)
+TEST(PolicyFacade, AdHocSpecMatchesRegisteredPolicy)
 {
     const Program p = buildWorkload("RadixSort");
     const GpuConfig config = gtx480Config();
 
-    const SimStats base = runBaseline(p, config);
-    const RegMutexRun rmx = runRegMutex(p, config);
-    const RegMutexRun paired = runPaired(p, config);
-    const SimStats owf = runOwf(p, config);
-    const SimStats rfv = runRfv(p, config);
-
-    auto same = [](const SimStats &a, const SimStats &b) {
-        EXPECT_EQ(a.allocatorName, b.allocatorName);
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.instructions, b.instructions);
-        EXPECT_EQ(a.ctasCompleted, b.ctasCompleted);
-        EXPECT_EQ(a.acquireAttempts, b.acquireAttempts);
-        EXPECT_EQ(a.issuedSlots, b.issuedSlots);
-        EXPECT_EQ(a.avgResidentWarps, b.avgResidentWarps);
+    auto same = [](const PolicyRun &a, const PolicyRun &b) {
+        EXPECT_EQ(a.stats().allocatorName, b.stats().allocatorName);
+        EXPECT_EQ(a.stats().cycles, b.stats().cycles);
+        EXPECT_EQ(a.stats().instructions, b.stats().instructions);
+        EXPECT_EQ(a.stats().ctasCompleted, b.stats().ctasCompleted);
+        EXPECT_EQ(a.stats().acquireAttempts, b.stats().acquireAttempts);
+        EXPECT_EQ(a.stats().issuedSlots, b.stats().issuedSlots);
+        EXPECT_EQ(a.stats().avgResidentWarps, b.stats().avgResidentWarps);
+        EXPECT_EQ(a.compile.compile.has_value(),
+                  b.compile.compile.has_value());
     };
-    same(base, runPolicy("baseline", p, config).stats());
-    same(owf, runPolicy("owf", p, config).stats());
-    same(rfv, runPolicy("rfv", p, config).stats());
+    const PolicyRegistry &registry = PolicyRegistry::instance();
+    for (const char *name : {"baseline", "regmutex", "paired", "owf"}) {
+        SCOPED_TRACE(name);
+        const PolicySpec spec = registry.at(name);
+        same(runPolicy(name, p, config), runPolicy(spec, p, config));
+    }
+    // The built-in "rfv" is makeRfvPolicy at the paper's provisioning.
+    same(runPolicy("rfv", p, config),
+         runPolicy(makeRfvPolicy(0.25), p, config));
 
-    const PolicyRun rmx_run = runPolicy("regmutex", p, config);
-    same(rmx.stats, rmx_run.stats());
-    ASSERT_TRUE(rmx_run.compile.compile.has_value());
-    EXPECT_EQ(rmx.compile.selection.bs,
-              rmx_run.compile.compile->selection.bs);
-    EXPECT_EQ(rmx.compile.selection.es,
-              rmx_run.compile.compile->selection.es);
-
-    const PolicyRun paired_run = runPolicy("paired", p, config);
-    same(paired.stats, paired_run.stats());
+    // Compiler metadata rides along exactly for the RegMutex pipeline.
+    const PolicyRun rmx = runPolicy("regmutex", p, config);
+    ASSERT_TRUE(rmx.compile.compile.has_value());
+    EXPECT_GT(rmx.compile.compile->selection.es, 0);
+    EXPECT_FALSE(runPolicy("baseline", p, config).compile.compile);
 }
 
 TEST(Sweep, GridOrderingIsConfigOuterWorkloadThenPolicy)

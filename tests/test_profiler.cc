@@ -320,9 +320,9 @@ TEST(ProfileExport, JsonKeysMatchGoldenFile)
         if (!line.empty())
             expected.push_back(line);
 
-    // The schema is an interface: check_perf_trajectory.py and trace
-    // viewers key on these names. Update the golden file deliberately
-    // when the schema deliberately changes.
+    // The schema is an interface: readers of saved profile documents
+    // key on these names. Update the golden file deliberately when the
+    // schema deliberately changes.
     EXPECT_EQ(keys, expected);
 }
 

@@ -9,7 +9,6 @@
 
 #include "analysis/cfg.hh"
 #include "analysis/liveness.hh"
-#include "baselines/baseline.hh"
 #include "baselines/owf.hh"
 #include "common/errors.hh"
 #include "compiler/edit.hh"
@@ -82,23 +81,12 @@ TEST(Robustness, HeadlineResultHoldsAcrossMemorySeeds)
     const Program p = buildWorkload("BFS");
     const GpuConfig config = gtx480Config();
     for (std::uint64_t seed : {1ull, 7ull, 1234567ull}) {
-        SimOptions base_options;
-        base_options.memSeed = seed;
-        BaselineAllocator base_alloc;
-        base_alloc.prepare(config, p);
-        base_options.mapper = base_alloc.makeMapper();
-        const SimStats base = simulate(config, p, base_alloc,
-                                       std::move(base_options), false);
-
-        const CompileResult compiled = compileRegMutex(p, config);
-        RegMutexAllocator rmx_alloc;
-        rmx_alloc.prepare(config, compiled.program);
-        SimOptions rmx_options;
-        rmx_options.memSeed = seed;
-        rmx_options.mapper = rmx_alloc.makeMapper();
-        const SimStats rmx = simulate(config, compiled.program,
-                                      rmx_alloc,
-                                      std::move(rmx_options), false);
+        RunOptions options;
+        options.gpu.memSeed = seed;
+        const SimStats base =
+            runPolicy("baseline", p, config, options).stats();
+        const SimStats rmx =
+            runPolicy("regmutex", p, config, options).stats();
 
         EXPECT_GT(cycleReduction(base, rmx), 0.05)
             << "memSeed " << seed;
@@ -188,7 +176,7 @@ TEST(Robustness, WatchdogReportsDeadlockedHardware)
     b.bind(skip);       // drops when warp 1 exits, so this completes.
     b.exitKernel();
     const Program p = b.finalize();
-    const SimStats stats = runBaseline(p, gtx480Config());
+    const SimStats stats = runPolicy("baseline", p, gtx480Config()).stats();
     // The barrier bookkeeping tolerates early exits (warpsAlive
     // shrinks), so this specific case completes rather than wedging.
     EXPECT_FALSE(stats.deadlocked);

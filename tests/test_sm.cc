@@ -7,10 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/baseline.hh"
 #include "common/errors.hh"
+#include "core/experiment.hh"
 #include "isa/builder.hh"
-#include "sim/gpu.hh"
 
 namespace rm {
 namespace {
@@ -28,8 +27,7 @@ info(int regs, int cta_threads, int grid_ctas)
 SimStats
 runProgram(const Program &program, GpuConfig config = gtx480Config())
 {
-    BaselineAllocator allocator;
-    return simulate(config, program, allocator);
+    return runPolicy("baseline", program, config).stats();
 }
 
 /** A dependent ALU chain exposes the ALU latency via the scoreboard. */
@@ -213,8 +211,7 @@ TEST(Sm, KernelTooLargeForRegisterFileFatals)
     b.exitKernel();
     Program p = b.finalize();
     p.info.numRegs = 64;
-    BaselineAllocator allocator;
-    EXPECT_THROW(simulate(gtx480Config(), p, allocator), FatalError);
+    EXPECT_THROW(runProgram(p), FatalError);
 }
 
 } // namespace
