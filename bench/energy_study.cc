@@ -6,20 +6,45 @@
  * per dollar", and Sec. IV-B cites GPU-Shrink's 20%/30% power savings
  * from halving the file). For each register-file size, the bench
  * reports the baseline's and RegMutex's cycles and modeled
- * register-file energy across the Fig. 8 workload set.
+ * register-file energy across the Fig. 8 workload set, or across the
+ * workloads named on the command line:
+ *
+ *   energy_study            the Fig. 8 set
+ *   energy_study SPMV       one kernel's down-sizing curve
+ *
+ * An unknown workload name is a usage error (exit status 2).
  */
 
 #include <iostream>
+#include <string>
+#include <vector>
 
+#include "common/errors.hh"
 #include "common/table.hh"
 #include "core/experiment.hh"
 #include "regmutex/energy.hh"
 #include "workloads/suite.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace rm;
+    std::vector<std::string> names(argv + 1, argv + argc);
+    std::string scope = "the Fig. 8 set";
+    if (names.empty()) {
+        names = halfRfSet();
+    } else {
+        scope.clear();
+        for (const std::string &name : names) {
+            try {
+                workload(name);
+            } catch (const UsageError &e) {
+                std::cerr << "energy_study: " << e.what() << "\n";
+                return 2;
+            }
+            scope += (scope.empty() ? "" : ", ") + name;
+        }
+    }
     const GpuConfig full = gtx480Config();
 
     Table table({"RF size", "base cycles (norm)", "base energy (norm)",
@@ -27,7 +52,7 @@ main()
 
     // Reference: full file, baseline policy, summed over the set.
     double ref_cycles = 0.0, ref_energy = 0.0;
-    for (const auto &name : halfRfSet()) {
+    for (const std::string &name : names) {
         const Program p = buildWorkload(name);
         const SimStats stats = runPolicy("baseline", p, full).stats();
         ref_cycles += static_cast<double>(stats.cycles);
@@ -39,7 +64,7 @@ main()
         config.registersPerSm = kb * 1024 / 4;
         double base_cycles = 0.0, base_energy = 0.0;
         double rmx_cycles = 0.0, rmx_energy = 0.0;
-        for (const auto &name : halfRfSet()) {
+        for (const std::string &name : names) {
             const Program p = buildWorkload(name);
             const SimStats base = runPolicy("baseline", p, config).stats();
             base_cycles += static_cast<double>(base.cycles);
@@ -57,8 +82,8 @@ main()
         table.addRow(row.take());
     }
 
-    std::cout << "Register-file energy study over the Fig. 8 set "
-                 "(normalized to the 128 KB baseline)\n\n"
+    std::cout << "Register-file energy study over " << scope
+              << " (normalized to the 128 KB baseline)\n\n"
               << table.toText()
               << "\nExpected shape: shrinking the file saves leakage "
                  "but costs the baseline cycles; RegMutex keeps the "

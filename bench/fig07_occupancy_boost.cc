@@ -24,7 +24,7 @@ main(int argc, char **argv)
     using namespace rm;
     GpuConfig config = gtx480Config();
     BenchReport report("fig07_occupancy_boost", argc, argv);
-    const SweepCli cli(argc, argv);
+    const SweepCli cli = SweepCli::parseOrExit(argc, argv);
     SweepOptions sweep;
     cli.apply(config, sweep);
 

@@ -23,7 +23,7 @@ main(int argc, char **argv)
     using namespace rm;
     GpuConfig full = gtx480Config();
     BenchReport report("fig08_half_register_file", argc, argv);
-    const SweepCli cli(argc, argv);
+    const SweepCli cli = SweepCli::parseOrExit(argc, argv);
     SweepOptions sweep;
     cli.apply(full, sweep);
     const GpuConfig half = halfRegisterFile(full);

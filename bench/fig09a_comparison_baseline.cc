@@ -22,7 +22,7 @@ main(int argc, char **argv)
     using namespace rm;
     GpuConfig config = gtx480Config();
     BenchReport report("fig09a_comparison_baseline", argc, argv);
-    const SweepCli cli(argc, argv);
+    const SweepCli cli = SweepCli::parseOrExit(argc, argv);
     SweepOptions sweep;
     cli.apply(config, sweep);
 

@@ -22,7 +22,7 @@ main(int argc, char **argv)
     using namespace rm;
     GpuConfig full = gtx480Config();
     BenchReport report("fig09b_comparison_half_rf", argc, argv);
-    const SweepCli cli(argc, argv);
+    const SweepCli cli = SweepCli::parseOrExit(argc, argv);
     SweepOptions sweep;
     cli.apply(full, sweep);
     const GpuConfig half = halfRegisterFile(full);

@@ -44,7 +44,7 @@ main(int argc, char **argv)
 {
     using namespace rm;
     const GpuConfig config = gtx480Config();
-    const SweepCli cli(argc, argv);
+    const SweepCli cli = SweepCli::parseOrExit(argc, argv);
 
     GpuConfig machine = config;
     machine.numSms = cli.sms > 1 ? cli.sms : config.numSms;

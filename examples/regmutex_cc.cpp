@@ -22,7 +22,6 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -30,6 +29,7 @@
 #include "analysis/cfg.hh"
 #include "analysis/liveness.hh"
 #include "analysis/liveness_report.hh"
+#include "common/cli.hh"
 #include "common/errors.hh"
 #include "common/table.hh"
 #include "compiler/pipeline.hh"
@@ -106,66 +106,32 @@ main(int argc, char **argv)
     bool report = false;
     std::string target;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " needs a value\n";
-                exit(usage());
-            }
-            return argv[++i];
-        };
-        auto nextNumber = [&]() -> int {
-            const std::string text = next();
-            try {
-                std::size_t used = 0;
-                const int v = std::stoi(text, &used);
-                if (used == text.size())
-                    return v;
-            } catch (const std::exception &) {
-            }
-            std::cerr << arg << " needs a number, got '" << text
-                      << "'\n";
-            exit(usage());
-        };
-        if (arg == "--half-rf") {
-            config = halfRegisterFile(config);
-        } else if (arg == "--es") {
-            options.forcedEs = nextNumber();
-        } else if (arg == "--coalesce") {
-            options.coalesceGap = nextNumber();
-        } else if (arg == "--report") {
-            report = true;
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            return usage();
-        } else {
-            target = arg;
-        }
-    }
-    if (target.empty()) {
-        std::cerr << "regmutex_cc: no input\n";
-        return 2;
-    }
-
     try {
-        Program program;
-        if (target == "-") {
-            std::ostringstream text;
-            text << std::cin.rdbuf();
-            program = parseProgram(text.str());
-        } else if (target.size() > 4 &&
-                   target.substr(target.size() - 4) == ".asm") {
-            std::ifstream file(target);
-            if (!file) {
-                std::cerr << "cannot open " << target << "\n";
-                return 1;
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto nextInt = [&] {
+                return cli::parseInt(arg, cli::value(argc, argv, i));
+            };
+            if (arg == "--half-rf") {
+                config = halfRegisterFile(config);
+            } else if (arg == "--es") {
+                options.forcedEs = nextInt();
+            } else if (arg == "--coalesce") {
+                options.coalesceGap = nextInt();
+            } else if (arg == "--report") {
+                report = true;
+            } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
+                return usage();
+            } else {
+                target = arg;
             }
-            std::ostringstream text;
-            text << file.rdbuf();
-            program = parseProgram(text.str());
-        } else {
-            program = buildWorkload(target);
         }
+        if (target.empty()) {
+            std::cerr << "regmutex_cc: no input\n";
+            return 2;
+        }
+
+        const Program program = loadProgram(target);
 
         const CompileResult compiled =
             compileRegMutex(program, config, options);
@@ -197,6 +163,9 @@ main(int argc, char **argv)
                                             .baseRegs);
         }
         return 0;
+    } catch (const UsageError &e) {
+        std::cerr << "regmutex_cc: " << e.what() << "\n";
+        return usage();
     } catch (const FatalError &e) {
         std::cerr << "regmutex_cc: error: " << e.what() << "\n";
         return 1;

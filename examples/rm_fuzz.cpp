@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/errors.hh"
 #include "fuzz/gen.hh"
 #include "fuzz/minimize.hh"
@@ -69,16 +70,6 @@ usage(std::ostream &os)
           "  --list-oracles    print the oracle registry and exit\n"
           "exit status: 0 clean, 1 findings, 2 usage error\n";
     return 2;
-}
-
-std::uint64_t
-parseSeed(const std::string &text)
-{
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(text, &used, 0);
-    if (used != text.size())
-        throw std::invalid_argument("trailing garbage in seed");
-    return value;
 }
 
 std::vector<std::string>
@@ -251,23 +242,17 @@ main(int argc, char **argv)
     std::string corpusDir;
     rm::OracleOptions oracleOptions;
 
-    const auto next = [&](int &i) -> std::string {
-        if (i + 1 >= argc) {
-            usage(std::cerr);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
+    const auto next = [&](int &i) { return rm::cli::value(argc, argv, i); };
     try {
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg == "--seed")
-                seed = parseSeed(next(i));
+                seed = rm::cli::parseU64(arg, next(i), /*hex=*/true);
             else if (arg == "--cases") {
-                cases = parseSeed(next(i));
+                cases = rm::cli::parseU64(arg, next(i), /*hex=*/true);
                 casesExplicit = true;
             } else if (arg == "--time-budget")
-                timeBudget = std::stod(next(i));
+                timeBudget = rm::cli::parseNumber(arg, next(i));
             else if (arg == "--oracles")
                 oracleOptions.oracles = splitList(next(i));
             else if (arg == "--minimize")
@@ -291,8 +276,8 @@ main(int argc, char **argv)
                 return usage(std::cerr);
             }
         }
-    } catch (const std::exception &e) {
-        std::cerr << "rm-fuzz: bad argument: " << e.what() << "\n";
+    } catch (const rm::UsageError &e) {
+        std::cerr << "rm-fuzz: " << e.what() << "\n";
         return usage(std::cerr);
     }
     // A time budget without an explicit case count means "run until

@@ -82,7 +82,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -90,12 +89,12 @@
 #include "analysis/lint.hh"
 #include "analysis/liveness.hh"
 #include "analysis/liveness_report.hh"
+#include "common/cli.hh"
 #include "common/errors.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/experiment.hh"
 #include "core/policy.hh"
-#include "isa/asm_parser.hh"
 #include "isa/disasm.hh"
 #include "obs/export.hh"
 #include "obs/json.hh"
@@ -132,33 +131,6 @@ usage()
            "  --max-cycles N | --wall-deadline SECONDS | --sanitize\n"
            "  --snapshot PATH | --snapshot-every N | --restore PATH\n";
     return 2;
-}
-
-/** Split "a:b:c" into exactly @p n numbers; exits with usage on error. */
-std::vector<std::uint64_t>
-splitNumbers(const std::string &arg, const std::string &text, std::size_t n)
-{
-    std::vector<std::uint64_t> parts;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ':')) {
-        try {
-            std::size_t used = 0;
-            const std::uint64_t v = std::stoull(item, &used);
-            if (used != item.size())
-                throw std::invalid_argument(item);
-            parts.push_back(v);
-        } catch (const std::exception &) {
-            parts.clear();
-            break;
-        }
-    }
-    if (parts.size() != n) {
-        std::cerr << arg << " needs " << n
-                  << " colon-separated numbers, got '" << text << "'\n";
-        exit(usage());
-    }
-    return parts;
 }
 
 void
@@ -254,150 +226,105 @@ main(int argc, char **argv)
     CompileOptions compile_options;
     FaultPlan fault;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " needs a value\n";
-                exit(usage());
-            }
-            return argv[++i];
-        };
-        auto nextNumber = [&]() -> std::uint64_t {
-            const std::string text = next();
-            try {
-                std::size_t used = 0;
-                const std::uint64_t v = std::stoull(text, &used);
-                if (used == text.size())
-                    return v;
-            } catch (const std::exception &) {
-            }
-            std::cerr << arg << " needs a number, got '" << text
-                      << "'\n";
-            exit(usage());
-        };
-        if (arg == "--kernel") {
-            target = next();
-        } else if (arg == "--allocator" || arg == "--policy") {
-            allocator_name = next();
-        } else if (arg == "--json") {
-            json_path = next();
-        } else if (arg == "--csv") {
-            csv_path = next();
-        } else if (arg == "--chrome-trace") {
-            chrome_path = next();
-        } else if (arg == "--sample-interval") {
-            sample_interval = nextNumber();
-        } else if (arg == "--trace-capacity") {
-            trace_capacity = nextNumber();
-        } else if (arg == "--sms") {
-            sms = static_cast<int>(nextNumber());
-            if (sms < 1) {
-                std::cerr << "--sms needs at least 1 SM\n";
-                return usage();
-            }
-        } else if (arg == "--threads") {
-            threads = static_cast<int>(nextNumber());
-        } else if (arg == "--pretty") {
-            pretty = true;
-        } else if (arg == "--lint") {
-            lint = true;
-        } else if (arg == "--profile") {
-            profile_path = next();
-        } else if (arg == "--trace") {
-            trace_events = nextNumber();
-            if (trace_events == 0) {
-                std::cerr << "--trace needs at least 1 event\n";
-                return usage();
-            }
-        } else if (arg == "--asm") {
-            dump_asm = true;
-        } else if (arg == "--liveness") {
-            dump_liveness = true;
-        } else if (arg == "--energy") {
-            print_energy = true;
-        } else if (arg == "--half-rf") {
-            config = halfRegisterFile(config);
-        } else if (arg == "--es") {
-            compile_options.forcedEs = static_cast<int>(nextNumber());
-        } else if (arg == "--lrr") {
-            config.schedPolicy = SchedPolicy::Lrr;
-        } else if (arg == "--poll") {
-            config.wakeOnRelease = false;
-        } else if (arg == "--fault-deny-acquire") {
-            const auto v = splitNumbers(arg, next(), 2);
-            fault.denyAcquire = {v[0], v[1]};
-        } else if (arg == "--fault-delay-release") {
-            const auto v = splitNumbers(arg, next(), 3);
-            fault.delayRelease = {v[0], v[1]};
-            fault.releaseDelayCycles = v[2];
-        } else if (arg == "--fault-shrink-srp") {
-            const auto v = splitNumbers(arg, next(), 2);
-            fault.shrinkSrpAtCycle = v[0];
-            fault.shrinkSrpSections = static_cast<int>(v[1]);
-        } else if (arg == "--fault-mem-spike") {
-            const auto v = splitNumbers(arg, next(), 3);
-            fault.memSpike = {v[0], v[1]};
-            fault.memSpikeFactor = static_cast<int>(v[2]);
-        } else if (arg == "--fault-corrupt") {
-            fault.corruptStateAtCycle = nextNumber();
-        } else if (arg == "--max-cycles") {
-            max_cycles = nextNumber();
-        } else if (arg == "--wall-deadline") {
-            const std::string text = next();
-            try {
-                std::size_t used = 0;
-                wall_deadline_seconds = std::stod(text, &used);
-                if (used != text.size() || wall_deadline_seconds <= 0.0)
-                    throw std::invalid_argument(text);
-            } catch (const std::exception &) {
-                std::cerr << "--wall-deadline needs a positive number "
-                             "of seconds, got '"
-                          << text << "'\n";
-                return usage();
-            }
-        } else if (arg == "--sanitize") {
-            sanitize = true;
-        } else if (arg == "--snapshot") {
-            snapshot_path = next();
-        } else if (arg == "--snapshot-every") {
-            snapshot_every = nextNumber();
-        } else if (arg == "--restore") {
-            restore_path = next();
-        } else if (arg == "--fault-seed") {
-            fault.seed = nextNumber();
-        } else if (arg == "--watchdog") {
-            config.watchdogCycles =
-                static_cast<long long>(nextNumber());
-        } else if (arg == "--list") {
-            for (const auto &entry : paperSuite())
-                std::cout << entry.spec.name << "\n";
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option " << arg << "\n";
-            return usage();
-        } else {
-            target = arg;
-        }
-    }
-    if (target.empty())
-        return usage();
-
     try {
-        Program program;
-        if (target.size() > 4 &&
-            target.substr(target.size() - 4) == ".asm") {
-            std::ifstream file(target);
-            if (!file) {
-                std::cerr << "cannot open " << target << "\n";
-                return 1;
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto next = [&] { return cli::value(argc, argv, i); };
+            const auto nextU64 = [&] { return cli::parseU64(arg, next()); };
+            const auto nextList = [&](std::size_t n) {
+                return cli::parseU64List(arg, next(), n);
+            };
+            if (arg == "--kernel") {
+                target = next();
+            } else if (arg == "--allocator" || arg == "--policy") {
+                allocator_name = next();
+            } else if (arg == "--json") {
+                json_path = next();
+            } else if (arg == "--csv") {
+                csv_path = next();
+            } else if (arg == "--chrome-trace") {
+                chrome_path = next();
+            } else if (arg == "--sample-interval") {
+                sample_interval = nextU64();
+            } else if (arg == "--trace-capacity") {
+                trace_capacity = nextU64();
+            } else if (arg == "--sms") {
+                sms = cli::parseCount(arg, next());
+                fatalIf<UsageError>(sms < 1, "--sms needs at least 1 SM");
+            } else if (arg == "--threads") {
+                threads = cli::parseCount(arg, next());
+            } else if (arg == "--pretty") {
+                pretty = true;
+            } else if (arg == "--lint") {
+                lint = true;
+            } else if (arg == "--profile") {
+                profile_path = next();
+            } else if (arg == "--trace") {
+                trace_events = nextU64();
+                fatalIf<UsageError>(trace_events == 0,
+                                    "--trace needs at least 1 event");
+            } else if (arg == "--asm") {
+                dump_asm = true;
+            } else if (arg == "--liveness") {
+                dump_liveness = true;
+            } else if (arg == "--energy") {
+                print_energy = true;
+            } else if (arg == "--half-rf") {
+                config = halfRegisterFile(config);
+            } else if (arg == "--es") {
+                compile_options.forcedEs = cli::parseCount(arg, next());
+            } else if (arg == "--lrr") {
+                config.schedPolicy = SchedPolicy::Lrr;
+            } else if (arg == "--poll") {
+                config.wakeOnRelease = false;
+            } else if (arg == "--fault-deny-acquire") {
+                const auto v = nextList(2);
+                fault.denyAcquire = {v[0], v[1]};
+            } else if (arg == "--fault-delay-release") {
+                const auto v = nextList(3);
+                fault.delayRelease = {v[0], v[1]};
+                fault.releaseDelayCycles = v[2];
+            } else if (arg == "--fault-shrink-srp") {
+                const auto v = nextList(2);
+                fault.shrinkSrpAtCycle = v[0];
+                fault.shrinkSrpSections = static_cast<int>(v[1]);
+            } else if (arg == "--fault-mem-spike") {
+                const auto v = nextList(3);
+                fault.memSpike = {v[0], v[1]};
+                fault.memSpikeFactor = static_cast<int>(v[2]);
+            } else if (arg == "--fault-corrupt") {
+                fault.corruptStateAtCycle = nextU64();
+            } else if (arg == "--max-cycles") {
+                max_cycles = nextU64();
+            } else if (arg == "--wall-deadline") {
+                wall_deadline_seconds = cli::parseSeconds(arg, next());
+            } else if (arg == "--sanitize") {
+                sanitize = true;
+            } else if (arg == "--snapshot") {
+                snapshot_path = next();
+            } else if (arg == "--snapshot-every") {
+                snapshot_every = nextU64();
+            } else if (arg == "--restore") {
+                restore_path = next();
+            } else if (arg == "--fault-seed") {
+                fault.seed = nextU64();
+            } else if (arg == "--watchdog") {
+                config.watchdogCycles = static_cast<long long>(nextU64());
+            } else if (arg == "--list") {
+                for (const auto &entry : paperSuite())
+                    std::cout << entry.spec.name << "\n";
+                return 0;
+            } else if (!arg.empty() && arg[0] == '-') {
+                std::cerr << "unknown option " << arg << "\n";
+                return usage();
+            } else {
+                target = arg;
             }
-            std::ostringstream text;
-            text << file.rdbuf();
-            program = parseProgram(text.str());
-        } else {
-            program = buildWorkload(target);
         }
+        if (target.empty())
+            return usage();
+
+        const Program program = loadProgram(target);
 
         // The full observability stack: registry + sampler + trace.
         MetricsRegistry registry;
@@ -651,6 +578,9 @@ main(int argc, char **argv)
             }
         }
         return 1;
+    } catch (const UsageError &e) {
+        std::cerr << e.what() << "\n";
+        return usage();
     } catch (const FatalError &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

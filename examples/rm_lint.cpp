@@ -36,15 +36,14 @@
 
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/lint.hh"
 #include "analysis/mutator.hh"
+#include "common/cli.hh"
 #include "common/errors.hh"
 #include "compiler/pipeline.hh"
-#include "isa/asm_parser.hh"
 #include "obs/export.hh"
 #include "obs/json.hh"
 #include "workloads/suite.hh"
@@ -103,81 +102,62 @@ main(int argc, char **argv)
     bool mutants = false;
     bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " needs a value\n";
-                exit(usage());
-            }
-            return argv[++i];
-        };
-        if (arg == "--all") {
-            all = true;
-        } else if (arg == "--compile") {
-            compile = true;
-        } else if (arg == "--translate") {
-            translate = compile = true;
-        } else if (arg == "--mutants") {
-            mutants = true;
-        } else if (arg == "--half-rf") {
-            config = halfRegisterFile(config);
-        } else if (arg == "--disable") {
-            lint_options.disabledChecks.push_back(next());
-        } else if (arg == "--json") {
-            json_path = next();
-        } else if (arg == "--sarif") {
-            sarif_path = next();
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--list-checks") {
-            for (const auto &check : lintChecks())
-                std::cout << check->id() << "  " << check->name() << "\n"
-                          << "       " << check->description() << "\n";
-            return 0;
-        } else if (arg == "--list") {
-            for (const auto &entry : paperSuite())
-                std::cout << entry.spec.name << "\n";
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option " << arg << "\n";
-            return usage();
-        } else {
-            targets.push_back(arg);
-        }
-    }
-    if (all)
-        for (const auto &entry : paperSuite())
-            targets.push_back(entry.spec.name);
-    if (targets.empty())
-        return usage();
-    if (!sarif_path.empty() && targets.size() != 1) {
-        std::cerr << "--sarif emits one document; give one target\n";
-        return usage();
-    }
-
-    lint_options.config = &config;
-
     try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto next = [&] { return cli::value(argc, argv, i); };
+            if (arg == "--all") {
+                all = true;
+            } else if (arg == "--compile") {
+                compile = true;
+            } else if (arg == "--translate") {
+                translate = compile = true;
+            } else if (arg == "--mutants") {
+                mutants = true;
+            } else if (arg == "--half-rf") {
+                config = halfRegisterFile(config);
+            } else if (arg == "--disable") {
+                lint_options.disabledChecks.push_back(next());
+            } else if (arg == "--json") {
+                json_path = next();
+            } else if (arg == "--sarif") {
+                sarif_path = next();
+            } else if (arg == "--quiet") {
+                quiet = true;
+            } else if (arg == "--list-checks") {
+                for (const auto &check : lintChecks())
+                    std::cout << check->id() << "  " << check->name() << "\n"
+                              << "       " << check->description() << "\n";
+                return 0;
+            } else if (arg == "--list") {
+                for (const auto &entry : paperSuite())
+                    std::cout << entry.spec.name << "\n";
+                return 0;
+            } else if (!arg.empty() && arg[0] == '-') {
+                std::cerr << "unknown option " << arg << "\n";
+                return usage();
+            } else {
+                targets.push_back(arg);
+            }
+        }
+        if (all)
+            for (const auto &entry : paperSuite())
+                targets.push_back(entry.spec.name);
+        if (targets.empty())
+            return usage();
+        if (!sarif_path.empty() && targets.size() != 1) {
+            std::cerr << "--sarif emits one document; give one target\n";
+            return usage();
+        }
+
+        lint_options.config = &config;
+
         bool failed = false;
         JsonWriter json;
         json.beginArray();
 
         for (const std::string &target : targets) {
-            Program program;
-            if (target.size() > 4 &&
-                target.substr(target.size() - 4) == ".asm") {
-                std::ifstream file(target);
-                if (!file) {
-                    std::cerr << "cannot open " << target << "\n";
-                    return 1;
-                }
-                std::ostringstream text;
-                text << file.rdbuf();
-                program = parseProgram(text.str());
-            } else {
-                program = buildWorkload(target);
-            }
+            Program program = loadProgram(target);
 
             CompileResult compiled;
             if (compile) {
@@ -254,6 +234,9 @@ main(int argc, char **argv)
             writeOut(json_path, json.take());
 
         return failed ? 1 : 0;
+    } catch (const UsageError &e) {
+        std::cerr << e.what() << "\n";
+        return usage();
     } catch (const FatalError &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

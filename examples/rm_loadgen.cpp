@@ -41,6 +41,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/cli.hh"
 #include "common/errors.hh"
 #include "common/rng.hh"
 #include "obs/export.hh"
@@ -343,45 +344,45 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    auto valueAfter = [&](int &i, const char *flag) -> const char * {
-        fatalIf(i + 1 >= argc, flag, " needs a value");
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--host")
-            opt.host = valueAfter(i, "--host");
-        else if (arg == "--port")
-            opt.port = std::atoi(valueAfter(i, "--port"));
-        else if (arg == "--tenants")
-            opt.tenants = std::atoi(valueAfter(i, "--tenants"));
-        else if (arg == "--requests")
-            opt.requests = std::atoi(valueAfter(i, "--requests"));
-        else if (arg == "--rate")
-            opt.ratePerSec = std::atof(valueAfter(i, "--rate"));
-        else if (arg == "--zipf")
-            opt.zipfS = std::atof(valueAfter(i, "--zipf"));
-        else if (arg == "--seed")
-            opt.seed = static_cast<std::uint64_t>(
-                std::atoll(valueAfter(i, "--seed")));
-        else if (arg == "--priority-high")
-            opt.highPriorityChance =
-                std::atof(valueAfter(i, "--priority-high"));
-        else if (arg == "--max-cycles")
-            opt.maxCycles = static_cast<std::uint64_t>(
-                std::atoll(valueAfter(i, "--max-cycles")));
-        else if (arg == "--universe")
-            opt.universe = std::atoi(valueAfter(i, "--universe"));
-        else if (arg == "--wait-timeout")
-            opt.waitTimeoutSec = std::atof(valueAfter(i, "--wait-timeout"));
-        else if (arg == "--out")
-            opt.outPath = valueAfter(i, "--out");
-        else if (arg == "--json")
-            opt.json = true;
-        else {
-            std::cerr << "rm-loadgen: unknown option '" << arg << "'\n";
-            return 2;
+    try {
+        using namespace cli;
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto next = [&] { return value(argc, argv, i); };
+            if (arg == "--host")
+                opt.host = next();
+            else if (arg == "--port")
+                opt.port = parseInt(arg, next());
+            else if (arg == "--tenants")
+                opt.tenants = parseCount(arg, next());
+            else if (arg == "--requests")
+                opt.requests = parseInt(arg, next());
+            else if (arg == "--rate")
+                opt.ratePerSec = parseNumber(arg, next());
+            else if (arg == "--zipf")
+                opt.zipfS = parseNumber(arg, next());
+            else if (arg == "--seed")
+                opt.seed = parseU64(arg, next());
+            else if (arg == "--priority-high")
+                opt.highPriorityChance = parseNumber(arg, next());
+            else if (arg == "--max-cycles")
+                opt.maxCycles = parseU64(arg, next());
+            else if (arg == "--universe")
+                opt.universe = parseInt(arg, next());
+            else if (arg == "--wait-timeout")
+                opt.waitTimeoutSec = parseNumber(arg, next());
+            else if (arg == "--out")
+                opt.outPath = next();
+            else if (arg == "--json")
+                opt.json = true;
+            else {
+                std::cerr << "rm-loadgen: unknown option '" << arg << "'\n";
+                return 2;
+            }
         }
+    } catch (const UsageError &e) {
+        std::cerr << "rm-loadgen: " << e.what() << "\n";
+        return 2;
     }
     if (opt.port <= 0) {
         std::cerr << "rm-loadgen: --port is required\n";

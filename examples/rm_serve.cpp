@@ -16,10 +16,10 @@
  */
 
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/errors.hh"
 #include "serve/net.hh"
 #include "serve/service.hh"
@@ -69,50 +69,47 @@ main(int argc, char **argv)
     ServeConfig config;
     ServeNetConfig net;
 
-    auto intAfter = [&](int &i, const char *flag) {
-        fatalIf(i + 1 >= argc, flag, " needs a value");
-        return std::atoi(argv[++i]);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--host") {
-            fatalIf(i + 1 >= argc, "--host needs a value");
-            net.host = argv[++i];
-        } else if (arg == "--port") {
-            net.port = intAfter(i, "--port");
-        } else if (arg == "--workers") {
-            config.workers = intAfter(i, "--workers");
-        } else if (arg == "--queue-limit") {
-            config.queueLimit =
-                static_cast<std::size_t>(intAfter(i, "--queue-limit"));
-        } else if (arg == "--client-limit") {
-            config.perClientLimit = intAfter(i, "--client-limit");
-        } else if (arg == "--retries") {
-            config.retries = intAfter(i, "--retries");
-        } else if (arg == "--breaker-threshold") {
-            config.breakerThreshold = intAfter(i, "--breaker-threshold");
-        } else if (arg == "--breaker-cooldown-ms") {
-            config.breakerCooldownMs = intAfter(i, "--breaker-cooldown-ms");
-        } else if (arg == "--journal") {
-            fatalIf(i + 1 >= argc, "--journal needs a path");
-            config.journalPath = argv[++i];
-        } else if (arg == "--fsync-every") {
-            config.journalFsyncEvery = intAfter(i, "--fsync-every");
-        } else if (arg == "--snapshot-dir") {
-            fatalIf(i + 1 >= argc, "--snapshot-dir needs a path");
-            config.snapshotDir = argv[++i];
-        } else if (arg == "--snapshot-every") {
-            config.snapshotEvery = static_cast<std::uint64_t>(
-                intAfter(i, "--snapshot-every"));
-        } else if (arg == "--seed") {
-            config.memSeed =
-                static_cast<std::uint64_t>(intAfter(i, "--seed"));
-        } else if (arg == "--no-lint") {
-            config.lint = false;
-        } else {
-            std::cerr << "rm-serve: unknown option '" << arg << "'\n";
-            return usage();
+    try {
+        using namespace cli;
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto next = [&] { return value(argc, argv, i); };
+            if (arg == "--host") {
+                net.host = next();
+            } else if (arg == "--port") {
+                net.port = parseInt(arg, next());
+            } else if (arg == "--workers") {
+                config.workers = parseInt(arg, next());
+            } else if (arg == "--queue-limit") {
+                config.queueLimit = parseU64(arg, next());
+            } else if (arg == "--client-limit") {
+                config.perClientLimit = parseInt(arg, next());
+            } else if (arg == "--retries") {
+                config.retries = parseInt(arg, next());
+            } else if (arg == "--breaker-threshold") {
+                config.breakerThreshold = parseInt(arg, next());
+            } else if (arg == "--breaker-cooldown-ms") {
+                config.breakerCooldownMs = parseNumber(arg, next());
+            } else if (arg == "--journal") {
+                config.journalPath = next();
+            } else if (arg == "--fsync-every") {
+                config.journalFsyncEvery = parseInt(arg, next());
+            } else if (arg == "--snapshot-dir") {
+                config.snapshotDir = next();
+            } else if (arg == "--snapshot-every") {
+                config.snapshotEvery = parseU64(arg, next());
+            } else if (arg == "--seed") {
+                config.memSeed = parseU64(arg, next());
+            } else if (arg == "--no-lint") {
+                config.lint = false;
+            } else {
+                std::cerr << "rm-serve: unknown option '" << arg << "'\n";
+                return usage();
+            }
         }
+    } catch (const UsageError &e) {
+        std::cerr << "rm-serve: " << e.what() << '\n';
+        return usage();
     }
 
     try {

@@ -36,6 +36,17 @@ class KernelDoesNotFitError : public FatalError
     using FatalError::FatalError;
 };
 
+/**
+ * Thrown on a malformed command line or input name: a number that does
+ * not parse, a flag without its value, an unknown workload or
+ * architecture label. Every CLI maps it to exit status 2.
+ */
+class UsageError : public FatalError
+{
+  public:
+    using FatalError::FatalError;
+};
+
 /** Thrown on internal invariant violations (library bugs). */
 class PanicError : public std::logic_error
 {

@@ -1,14 +1,17 @@
 #include "core/sweep.hh"
 
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <string>
 
 #include "analysis/lint.hh"
+#include "common/cli.hh"
 #include "common/errors.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -432,72 +435,45 @@ sweepGrid(const std::vector<std::string> &workloads,
 
 SweepCli::SweepCli(int argc, char *const *argv)
 {
-    auto numberAfter = [&](int &i, const char *flag) {
-        fatalIf(i + 1 >= argc, flag, " needs a value");
-        const std::string text = argv[++i];
-        try {
-            std::size_t used = 0;
-            const int v = std::stoi(text, &used);
-            if (used == text.size() && v >= 0)
-                return v;
-        } catch (const std::exception &) {
-        }
-        fatal(flag, " needs a non-negative integer, got '", text, "'");
-    };
-    auto u64After = [&](int &i, const char *flag) -> std::uint64_t {
-        fatalIf(i + 1 >= argc, flag, " needs a value");
-        const std::string text = argv[++i];
-        try {
-            std::size_t used = 0;
-            const unsigned long long v = std::stoull(text, &used);
-            if (used == text.size())
-                return v;
-        } catch (const std::exception &) {
-        }
-        fatal(flag, " needs a non-negative integer, got '", text, "'");
-    };
-    auto secondsAfter = [&](int &i, const char *flag) -> double {
-        fatalIf(i + 1 >= argc, flag, " needs a value");
-        const std::string text = argv[++i];
-        try {
-            std::size_t used = 0;
-            const double v = std::stod(text, &used);
-            if (used == text.size() && v > 0.0)
-                return v;
-        } catch (const std::exception &) {
-        }
-        fatal(flag, " needs a positive number of seconds, got '", text,
-              "'");
-    };
+    using namespace cli;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--sms") {
-            sms = numberAfter(i, "--sms");
-            fatalIf(sms < 1, "--sms needs at least 1 SM");
+            sms = parseCount(arg, value(argc, argv, i));
+            fatalIf<UsageError>(sms < 1, "--sms needs at least 1 SM");
         } else if (arg == "--threads") {
-            threads = numberAfter(i, "--threads");
+            threads = parseCount(arg, value(argc, argv, i));
         } else if (arg == "--retries") {
-            retries = numberAfter(i, "--retries");
+            retries = parseCount(arg, value(argc, argv, i));
         } else if (arg == "--checkpoint") {
-            fatalIf(i + 1 >= argc, "--checkpoint needs a path");
-            checkpoint = argv[++i];
+            checkpoint = value(argc, argv, i);
         } else if (arg == "--fsync-every") {
-            fsyncEvery = numberAfter(i, "--fsync-every");
+            fsyncEvery = parseCount(arg, value(argc, argv, i));
         } else if (arg == "--max-cycles") {
-            maxCycles = u64After(i, "--max-cycles");
+            maxCycles = parseU64(arg, value(argc, argv, i));
         } else if (arg == "--wall-deadline") {
-            wallDeadlineSeconds = secondsAfter(i, "--wall-deadline");
+            wallDeadlineSeconds = parseSeconds(arg, value(argc, argv, i));
         } else if (arg == "--sanitize") {
             sanitize = true;
         } else if (arg == "--no-lint") {
             noLint = true;
         } else if (arg == "--snapshot-every") {
-            snapshotEvery = u64After(i, "--snapshot-every");
+            snapshotEvery = parseU64(arg, value(argc, argv, i));
         } else if (arg == "--snapshot-dir") {
-            fatalIf(i + 1 >= argc, "--snapshot-dir needs a path");
-            snapshotDir = argv[++i];
+            snapshotDir = value(argc, argv, i);
         }
         // Anything else belongs to the bench (e.g. --json).
+    }
+}
+
+SweepCli
+SweepCli::parseOrExit(int argc, char *const *argv)
+{
+    try {
+        return SweepCli(argc, argv);
+    } catch (const UsageError &e) {
+        std::cerr << argv[0] << ": " << e.what() << "\n";
+        std::exit(2);
     }
 }
 

@@ -240,7 +240,11 @@ struct SweepCli
     std::uint64_t snapshotEvery = 0;
     std::string snapshotDir;
 
+    /** Throws UsageError on a malformed value (common/cli.hh). */
     SweepCli(int argc, char *const *argv);
+
+    /** The benches' entry: a UsageError is printed and exits with 2. */
+    static SweepCli parseOrExit(int argc, char *const *argv);
 
     /** Fold the flags into a bench's config and sweep options. */
     void apply(GpuConfig &config, SweepOptions &options) const;

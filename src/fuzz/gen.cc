@@ -335,28 +335,10 @@ generateCase(std::uint64_t seed)
     fc.seed = seed;
 
     // --- Architecture + config envelope -------------------------------
-    switch (rng.uniformInt(0, 4)) {
-    case 0:
-        fc.arch = "GTX480";
-        fc.config = gtx480Config();
-        break;
-    case 1:
-        fc.arch = "half-RF";
-        fc.config = halfRegisterFile(gtx480Config());
-        break;
-    case 2:
-        fc.arch = "Kepler";
-        fc.config = keplerConfig();
-        break;
-    case 3:
-        fc.arch = "Maxwell";
-        fc.config = maxwellConfig();
-        break;
-    default:
-        fc.arch = "Volta";
-        fc.config = voltaConfig();
-        break;
-    }
+    const ArchEntry &arch =
+        archTable()[static_cast<std::size_t>(rng.uniformInt(0, 4))];
+    fc.arch = arch.label;
+    fc.config = arch.config;
     fc.config.numSms = static_cast<int>(rng.uniformInt(1, 3));
     fc.config.numSchedulers = pickOne(rng, {1, 2, 4});
     fc.config.schedPolicy =

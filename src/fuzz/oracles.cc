@@ -721,8 +721,6 @@ plantedBugCase(PlantedBug bug)
 {
     FuzzCase fc;
     fc.seed = 0x90a57edbULL;  // synthetic provenance marker
-    fc.arch = "GTX480";
-    fc.config = gtx480Config();
     fc.config.numSms = 2;
     fc.config.watchdogCycles = 150'000;
 

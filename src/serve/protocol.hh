@@ -49,7 +49,8 @@ struct JobRequest
     std::string client;
     std::string workload;
     std::string policy;
-    /** Architecture label: "GTX480" (default) or "half-RF". */
+    /** Architecture label from archTable() (sim/config.hh), any ASCII
+     *  case: "GTX480" (default), "half-RF", "Kepler", ... */
     std::string arch = "GTX480";
     /** Higher priority runs first and may preempt a running lower-
      *  priority cell (its snapshot resumes later — no lost cycles). */

@@ -26,17 +26,6 @@ constexpr std::uint64_t kSeedGamma = 0x9e3779b9ULL;
 
 } // namespace
 
-GpuConfig
-archConfig(const std::string &arch)
-{
-    if (arch == "GTX480")
-        return gtx480Config();
-    if (arch == "half-RF" || arch == "half-rf")
-        return halfRegisterFile(gtx480Config());
-    throw JsonSchemaError("job request: unknown arch '" + arch +
-                          "' (expected \"GTX480\" or \"half-RF\")");
-}
-
 SweepService::SweepService(ServeConfig cfg)
     : config(std::move(cfg)),
       journal(std::make_unique<JsonlCheckpoint>(config.journalPath,
@@ -62,12 +51,14 @@ SweepService::submit(const JobRequest &request, Callback cb)
     SweepCase cell;
     cell.workload = request.workload;
     cell.policy = request.policy;
-    cell.arch = request.arch;
     try {
-        cell.config = archConfig(request.arch);
-    } catch (const JsonSchemaError &e) {
+        // The canonical label, so "half-rf" and "half-RF" share a key.
+        const ArchEntry &arch = findArch(request.arch);
+        cell.arch = arch.label;
+        cell.config = arch.config;
+    } catch (const UnknownArchError &e) {
         response.outcome = JobOutcome::BadRequest;
-        response.error = e.what() ? e.what() : "bad request";
+        response.error = std::string("job request: ") + e.what();
         {
             const std::lock_guard<std::mutex> lock(mutex);
             ++stats.badRequests;

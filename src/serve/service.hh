@@ -232,10 +232,6 @@ class SweepService
     std::vector<std::thread> workers;
 };
 
-/** "GTX480" / "half-RF" to a GpuConfig; throws JsonSchemaError on an
- *  unknown label (the request came off the wire). */
-GpuConfig archConfig(const std::string &arch);
-
 } // namespace rm
 
 #endif // RM_SERVE_SERVICE_HH

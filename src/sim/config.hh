@@ -11,6 +11,11 @@
  * greedy-then-oldest scheduling.
  */
 
+#include <array>
+#include <string_view>
+
+#include "common/errors.hh"
+
 namespace rm {
 
 /** Warp scheduler policy. */
@@ -87,6 +92,33 @@ GpuConfig halfRegisterFile(GpuConfig config);
 GpuConfig keplerConfig();   ///< 64K regs, 64 warps, 16 CTAs, 2048 threads
 GpuConfig maxwellConfig();  ///< 64K regs, 64 warps, 32 CTAs, 2048 threads
 GpuConfig voltaConfig();    ///< 64K regs, 64 warps, 32 CTAs, 96KB shared
+
+/** One named architecture: its canonical label and its config. */
+struct ArchEntry
+{
+    std::string_view label;
+    GpuConfig config;
+};
+
+/**
+ * Every architecture label, in canonical order: GTX480, half-RF,
+ * Kepler, Maxwell, Volta (the factories above). Compiled in and total:
+ * no label maps to a partly filled config.
+ */
+const std::array<ArchEntry, 5> &archTable();
+
+/** Thrown for a label outside archTable(); the message lists them. */
+class UnknownArchError : public UsageError
+{
+  public:
+    using UsageError::UsageError;
+};
+
+/**
+ * The archTable() entry whose label equals @p label ignoring ASCII
+ * case ("half-rf" finds "half-RF"); throws UnknownArchError.
+ */
+const ArchEntry &findArch(std::string_view label);
 
 } // namespace rm
 

@@ -858,14 +858,6 @@ Sm::captureDiagnosis(DeadlockCause cause, bool watchdog_expired) const
     return diag;
 }
 
-SimStats
-Sm::run()
-{
-    const SmRunOutcome outcome = runControlled(RunControl{});
-    panicIf(outcome.preempted, "Sm::run: preempted without any limit set");
-    return stats;
-}
-
 SmRunOutcome
 Sm::runControlled(const RunControl &control)
 {

@@ -82,20 +82,15 @@ class Sm
        Sampler *sampler = nullptr, int sm_id = 0, FaultPlan fault = {});
 
     /**
-     * Simulate to completion (or declared deadlock — see
-     * SimStats::deadlocked/hang); throws SimulationError with an
-     * attached HangDiagnosis when the watchdog expires.
-     */
-    SimStats run();
-
-    /**
      * Simulate under @p control: stop early with a Preempted outcome
      * when the cycle budget, the cancellation token or the wall
      * deadline fires, and (when control.sanitize) audit register
      * accounting every epoch — throwing SanitizerError on the first
      * violation. Callable repeatedly: a preempted Sm resumes exactly
-     * where it stopped. With a default-constructed control this is
-     * run() and pays no per-cycle overhead beyond one branch.
+     * where it stopped. A default-constructed control runs to
+     * completion (or declared deadlock — see SimStats::deadlocked/hang)
+     * and pays no per-cycle overhead beyond one branch; the watchdog
+     * throws SimulationError with an attached HangDiagnosis.
      * control.skipAhead = false forces the per-cycle path (same stats).
      */
     SmRunOutcome runControlled(const RunControl &control);

@@ -108,8 +108,7 @@ const char *preemptReasonName(PreemptReason reason);
 
 /**
  * Budget / deadline / sanitizer knobs of one controlled run. The
- * default-constructed control is inert: the SM hot loop pays nothing
- * (Sm::run() forwards to the controlled path with this default).
+ * default-constructed control is inert: the SM hot loop pays nothing.
  *
  * maxCycles is checked every cycle (so a snapshot can be taken at an
  * exact cycle); the cancellation token, the wall deadline and the

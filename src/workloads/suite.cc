@@ -1,6 +1,11 @@
 #include "workloads/suite.hh"
 
+#include <fstream>
+#include <iostream>
+#include <sstream>
+
 #include "common/errors.hh"
+#include "isa/asm_parser.hh"
 
 namespace rm {
 
@@ -390,13 +395,29 @@ workload(const std::string &name)
         if (entry.spec.name == name)
             return entry;
     }
-    fatal("workload: unknown workload '", name, "'");
+    fatal<UsageError>("workload: unknown workload '", name, "'");
 }
 
 Program
 buildWorkload(const std::string &name)
 {
     return buildKernel(workload(name).spec);
+}
+
+Program
+loadProgram(const std::string &target)
+{
+    std::ostringstream text;
+    if (target == "-") {
+        text << std::cin.rdbuf();
+    } else if (target.ends_with(".asm")) {
+        std::ifstream file(target);
+        fatalIf(!file, "cannot open ", target);
+        text << file.rdbuf();
+    } else {
+        return buildWorkload(target);
+    }
+    return parseProgram(text.str());
 }
 
 std::vector<std::string>

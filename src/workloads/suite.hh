@@ -38,11 +38,18 @@ struct WorkloadEntry
 /** All 16 workloads in Table I order. */
 const std::vector<WorkloadEntry> &paperSuite();
 
-/** Lookup by name; throws FatalError when unknown. */
+/** Lookup by name; throws UsageError when unknown. */
 const WorkloadEntry &workload(const std::string &name);
 
 /** Build the kernel program of a suite workload. */
 Program buildWorkload(const std::string &name);
+
+/**
+ * The program a CLI target names: "-" parses assembly from stdin, a
+ * path ending in ".asm" parses that file (FatalError when it cannot be
+ * opened), anything else is a suite workload (UsageError when unknown).
+ */
+Program loadProgram(const std::string &target);
 
 /** Names of the 8 occupancy-limited workloads (Fig. 7 / 9a / 10-13). */
 std::vector<std::string> occupancyLimitedSet();

@@ -1,10 +1,16 @@
 /**
  * @file
- * Unit tests for errors, logging, RNG determinism and table rendering.
+ * Unit tests for errors, logging, RNG determinism, table rendering and
+ * the strict command-line value parsers.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/cli.hh"
 #include "common/errors.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -125,6 +131,81 @@ TEST(Logging, LevelGate)
     inform("should not crash");
     warn("nor this");
     setLogLevel(LogLevel::Warn);
+}
+
+/** The UsageError message @p parse throws, or "" when it returns. */
+template <typename Parse>
+std::string
+usageMessage(Parse parse)
+{
+    try {
+        parse();
+    } catch (const UsageError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CliParse, WholeStringMustParse)
+{
+    EXPECT_EQ(cli::parseInt("--es", "-3"), -3);
+    EXPECT_EQ(cli::parseCount("--sms", "15"), 15);
+    EXPECT_EQ(cli::parseU64("--max-cycles", "18446744073709551615"),
+              18446744073709551615ULL);
+    EXPECT_DOUBLE_EQ(cli::parseNumber("--rate", "2.5"), 2.5);
+    EXPECT_DOUBLE_EQ(cli::parseSeconds("--wall-deadline", "0.25"), 0.25);
+    for (const char *text : {"", "abc", "1x", " 1", "1 ", "+1", "0.5"})
+        EXPECT_THROW(cli::parseInt("--es", text), UsageError) << text;
+    for (const char *text : {"", "1x", "nan", "inf", "1e999"})
+        EXPECT_THROW(cli::parseNumber("--rate", text), UsageError) << text;
+    EXPECT_EQ(usageMessage([] { cli::parseInt("--port", "abc"); }),
+              "--port needs a number, got 'abc'");
+}
+
+TEST(CliParse, UnsignedFlagsRejectASign)
+{
+    EXPECT_EQ(usageMessage([] { cli::parseU64("--es", "-1"); }),
+              "--es needs a non-negative integer, got '-1'");
+    EXPECT_THROW(cli::parseCount("--threads", "-1"), UsageError);
+    EXPECT_THROW(cli::parseCount("--threads", "2147483648"), UsageError);
+    EXPECT_THROW(cli::parseU64("--seed", "18446744073709551616"),
+                 UsageError);
+    EXPECT_EQ(usageMessage([] { cli::parseSeconds("--wall-deadline", "0"); }),
+              "--wall-deadline needs a positive number of seconds, got '0'");
+}
+
+TEST(CliParse, HexOnlyWhereAsked)
+{
+    EXPECT_EQ(cli::parseU64("--seed", "0x2a", /*hex=*/true), 42u);
+    EXPECT_EQ(cli::parseU64("--seed", "0X2A", /*hex=*/true), 42u);
+    EXPECT_EQ(cli::parseU64("--seed", "42", /*hex=*/true), 42u);
+    EXPECT_THROW(cli::parseU64("--seed", "0x2a"), UsageError);
+    EXPECT_THROW(cli::parseU64("--seed", "0x", /*hex=*/true), UsageError);
+    EXPECT_THROW(cli::parseU64("--seed", "0x-1", /*hex=*/true), UsageError);
+}
+
+TEST(CliParse, ColonListsNeedExactlyNNumbers)
+{
+    EXPECT_EQ(cli::parseU64List("--fault-mem-spike", "1:2:3", 3),
+              (std::vector<std::uint64_t>{1, 2, 3}));
+    for (const char *text : {"1:2", "1:2:3:4", "1::3", "1:2:x", ":1:2"})
+        EXPECT_THROW(cli::parseU64List("--fault-mem-spike", text, 3),
+                     UsageError)
+            << text;
+    EXPECT_EQ(usageMessage([] { cli::parseU64List("--f", "1", 2); }),
+              "--f needs 2 colon-separated numbers, got '1'");
+}
+
+TEST(CliParse, MissingValueNamesTheFlag)
+{
+    const char *argv[] = {"prog", "--port", "7", "--workers"};
+    char *const *args = const_cast<char *const *>(argv);
+    int i = 1;
+    EXPECT_EQ(cli::value(4, args, i), "7");
+    EXPECT_EQ(i, 2);
+    i = 3;
+    EXPECT_EQ(usageMessage([&] { cli::value(4, args, i); }),
+              "--workers needs a value");
 }
 
 } // namespace

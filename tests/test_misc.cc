@@ -2,11 +2,14 @@
  * @file
  * Coverage for remaining corners: grid sharing across SMs, the
  * cycleReduction helper, stats accessors, bank-conflict modeling,
- * interpreter trace capping, and the stripped/compiled program
- * relationships the facade relies on.
+ * interpreter trace capping, the stripped/compiled program
+ * relationships the facade relies on, and the architecture table.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <string>
 
 #include "common/errors.hh"
 #include "compiler/edit.hh"
@@ -170,6 +173,44 @@ TEST(Workloads, GridCoversMultipleWavesUnderRegMutex)
         EXPECT_GE(static_cast<int>(run.stats().ctasCompleted),
                   run.stats().theoreticalCtas)
             << entry.spec.name << ": grid smaller than one wave";
+    }
+}
+
+TEST(ArchTable, CanonicalLabelsInOrderOverTheFactories)
+{
+    const std::array<ArchEntry, 5> &table = archTable();
+    const char *labels[] = {"GTX480", "half-RF", "Kepler", "Maxwell",
+                            "Volta"};
+    for (std::size_t i = 0; i < table.size(); ++i)
+        EXPECT_EQ(table[i].label, labels[i]);
+    EXPECT_EQ(table[0].config.registersPerSm, gtx480Config().registersPerSm);
+    EXPECT_EQ(table[1].config.registersPerSm,
+              halfRegisterFile(gtx480Config()).registersPerSm);
+    EXPECT_EQ(table[2].config.maxCtasPerSm, keplerConfig().maxCtasPerSm);
+    EXPECT_EQ(table[3].config.maxCtasPerSm, maxwellConfig().maxCtasPerSm);
+    EXPECT_EQ(table[4].config.sharedMemPerSm, voltaConfig().sharedMemPerSm);
+}
+
+TEST(ArchTable, LookupIgnoresAsciiCaseAndCanonicalises)
+{
+    EXPECT_EQ(findArch("half-rf").label, "half-RF");
+    EXPECT_EQ(findArch("HALF-RF").label, "half-RF");
+    EXPECT_EQ(findArch("gtx480").label, "GTX480");
+    EXPECT_EQ(&findArch("volta"), &archTable()[4]);
+}
+
+TEST(ArchTable, UnknownLabelListsTheAcceptedOnes)
+{
+    for (const char *label : {"Pascal", "", "half RF", "GTX4800"}) {
+        try {
+            findArch(label);
+            ADD_FAILURE() << "accepted '" << label << "'";
+        } catch (const UnknownArchError &e) {
+            const std::string message = e.what();
+            for (const ArchEntry &entry : archTable())
+                EXPECT_NE(message.find(entry.label), std::string::npos)
+                    << message;
+        }
     }
 }
 

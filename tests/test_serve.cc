@@ -173,11 +173,11 @@ TEST(ServeProtocol, HostileRequestsThrowSchemaErrors)
 
 TEST(ServeProtocol, ArchConfigRejectsUnknownLabels)
 {
-    EXPECT_EQ(archConfig("GTX480").registersPerSm,
+    EXPECT_EQ(findArch("GTX480").config.registersPerSm,
               gtx480Config().registersPerSm);
-    EXPECT_EQ(archConfig("half-RF").registersPerSm,
+    EXPECT_EQ(findArch("half-RF").config.registersPerSm,
               halfRegisterFile(gtx480Config()).registersPerSm);
-    EXPECT_THROW(archConfig("Pascal"), JsonSchemaError);
+    EXPECT_THROW(findArch("Pascal"), UnknownArchError);
 }
 
 // --- Admission control ------------------------------------------------
@@ -199,6 +199,59 @@ TEST(ServeService, UnknownArchIsAnsweredBadRequestSynchronously)
     EXPECT_EQ(response.outcome, JobOutcome::BadRequest);
     EXPECT_NE(response.error.find("Pascal"), std::string::npos);
     EXPECT_EQ(service.counters().badRequests, 1u);
+}
+
+TEST(ServeService, ArchSpellingsShareOneCacheKey)
+{
+    std::atomic<int> runs{0};
+    ServeConfig config;
+    config.workers = 1;
+    config.runCell = [&](const SweepCase &cell, const SweepOptions &) {
+        ++runs;
+        return okResult(static_cast<std::uint64_t>(
+            cell.config.registersPerSm));
+    };
+    SweepService service(config);
+
+    // Two spellings of the same cell: one simulation, one key.
+    JobRequest lower = makeRequest("lower", "BFS", "baseline");
+    lower.arch = "half-rf";
+    Capture first;
+    service.submit(lower, first.cb());
+    const JobResponse cold = first.get();
+    ASSERT_EQ(cold.outcome, JobOutcome::Ok);
+    EXPECT_FALSE(cold.cached);
+    EXPECT_NE(cold.key.find("|half-RF|"), std::string::npos) << cold.key;
+
+    JobRequest canonical = makeRequest("canonical", "BFS", "baseline");
+    canonical.arch = "half-RF";
+    Capture second;
+    service.submit(canonical, second.cb());
+    const JobResponse hit = second.get();
+    ASSERT_EQ(hit.outcome, JobOutcome::Ok);
+    EXPECT_TRUE(hit.cached);
+    EXPECT_EQ(hit.key, cold.key);
+    EXPECT_EQ(runs.load(), 1);
+
+    // The table is total: every factory label is served...
+    JobRequest kepler = makeRequest("kepler", "BFS", "baseline");
+    kepler.arch = "Kepler";
+    Capture third;
+    service.submit(kepler, third.cb());
+    const JobResponse keplerResponse = third.get();
+    EXPECT_EQ(keplerResponse.outcome, JobOutcome::Ok);
+    ASSERT_TRUE(keplerResponse.hasStats);
+    EXPECT_EQ(keplerResponse.stats.cycles,
+              static_cast<std::uint64_t>(keplerConfig().registersPerSm));
+
+    // ...and a label outside it is refused before submit() returns.
+    JobRequest pascal = makeRequest("pascal", "BFS", "baseline");
+    pascal.arch = "Pascal";
+    Capture fourth;
+    service.submit(pascal, fourth.cb());
+    ASSERT_EQ(fourth.future.wait_for(0s), std::future_status::ready);
+    EXPECT_EQ(fourth.get().outcome, JobOutcome::BadRequest);
+    EXPECT_EQ(runs.load(), 2);
 }
 
 TEST(ServeService, OverloadAndClientCapRejectWithRetryAfter)

@@ -709,5 +709,22 @@ TEST(SweepCli, ParsesRunControlFlags)
     EXPECT_EQ(options.snapshotDir, "/tmp/snapdir");
 }
 
+TEST(SweepCli, MalformedValuesAreUsageErrors)
+{
+    const auto parse = [](std::vector<const char *> args) {
+        args.insert(args.begin(), "bench");
+        return SweepCli(static_cast<int>(args.size()),
+                        const_cast<char *const *>(args.data()));
+    };
+    EXPECT_THROW(parse({"--sms", "abc"}), UsageError);
+    EXPECT_THROW(parse({"--sms", "0"}), UsageError);
+    EXPECT_THROW(parse({"--threads", "-1"}), UsageError);
+    EXPECT_THROW(parse({"--max-cycles", "-5"}), UsageError);
+    EXPECT_THROW(parse({"--wall-deadline", "1x"}), UsageError);
+    EXPECT_THROW(parse({"--checkpoint"}), UsageError);
+    // Flags it does not know belong to the bench.
+    EXPECT_EQ(parse({"--json", "out.json", "--sms", "3"}).sms, 3);
+}
+
 } // namespace
 } // namespace rm

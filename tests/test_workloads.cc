@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
+
 #include "analysis/cfg.hh"
 #include "analysis/liveness.hh"
 #include "common/errors.hh"
 #include "compiler/pipeline.hh"
+#include "isa/asm_parser.hh"
 #include "sim/interpreter.hh"
 #include "sim/occupancy.hh"
 #include "workloads/suite.hh"
@@ -117,6 +122,29 @@ TEST(Suite, SixteenWorkloadsInTableOrder)
 TEST(Suite, UnknownWorkloadFatals)
 {
     EXPECT_THROW(workload("NoSuchKernel"), FatalError);
+}
+
+TEST(Suite, LoadProgramResolvesEveryTargetKind)
+{
+    const std::string suite = emitProgram(buildWorkload("SAD"));
+    EXPECT_EQ(emitProgram(loadProgram("SAD")), suite);
+
+    const std::string path =
+        ::testing::TempDir() + "load_program_sad.asm";
+    std::ofstream(path) << suite;
+    EXPECT_EQ(emitProgram(loadProgram(path)), suite);
+    std::remove(path.c_str());
+
+    // An unknown name is a usage error; an unreadable file is not.
+    EXPECT_THROW(loadProgram("NoSuchKernel"), UsageError);
+    try {
+        loadProgram(path);
+        ADD_FAILURE() << "a missing .asm file loaded";
+    } catch (const UsageError &) {
+        ADD_FAILURE() << "a missing .asm file is an I/O error";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+    }
 }
 
 TEST(Generator, RejectsInconsistentSpecs)
