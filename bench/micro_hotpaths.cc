@@ -16,6 +16,8 @@
 #include "common/bitmask.hh"
 #include "compiler/pipeline.hh"
 #include "core/experiment.hh"
+#include "obs/metrics.hh"
+#include "obs/sampler.hh"
 #include "sim/event_wheel.hh"
 #include "workloads/suite.hh"
 
@@ -86,6 +88,26 @@ BM_TimingSimulatorRegMutex(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TimingSimulatorRegMutex)->Unit(benchmark::kMillisecond);
+
+void
+BM_TimingSimulatorObserved(benchmark::State &state)
+{
+    // BM_TimingSimulatorRegMutex with a registry and a 1000-cycle
+    // sampler attached: the spread between the two is what observing
+    // a run costs (the stats are bit-identical).
+    const rm::Program p = rm::buildWorkload("BFS");
+    const rm::GpuConfig config = rm::gtx480Config();
+    for (auto _ : state) {
+        rm::MetricsRegistry registry;
+        rm::Sampler sampler(registry, 1000);
+        rm::RunOptions options;
+        options.gpu.obs.metrics = &registry;
+        options.gpu.obs.sampler = &sampler;
+        benchmark::DoNotOptimize(
+            rm::runPolicy("regmutex", p, config, options).stats());
+    }
+}
+BENCHMARK(BM_TimingSimulatorObserved)->Unit(benchmark::kMillisecond);
 
 void
 BM_TimingSimulatorRfv(benchmark::State &state)

@@ -82,6 +82,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -326,15 +327,18 @@ main(int argc, char **argv)
 
         const Program program = loadProgram(target);
 
-        // The full observability stack: registry + sampler + trace.
+        // The registry and sampler feed the summary table as well as
+        // the exports; the trace ring is built only when a view of it
+        // was asked for.
         MetricsRegistry registry;
         Sampler sampler(registry, sample_interval);
-        IssueTrace trace(trace_events > 0 ? trace_events : trace_capacity);
+        std::optional<IssueTrace> trace;
+        if (!chrome_path.empty() || trace_events > 0)
+            trace.emplace(trace_events > 0 ? trace_events : trace_capacity);
         ObsSinks obs;
         obs.metrics = &registry;
         obs.sampler = &sampler;
-        if (!chrome_path.empty() || trace_events > 0)
-            obs.trace = &trace;
+        obs.trace = trace ? &*trace : nullptr;
 
         const PolicySpec *policy =
             PolicyRegistry::instance().find(allocator_name);
@@ -447,7 +451,7 @@ main(int argc, char **argv)
         if (!csv_path.empty())
             writeFile(csv_path, samplerToCsv(sampler));
         if (!chrome_path.empty())
-            writeFile(chrome_path, chromeTrace(trace, executed));
+            writeFile(chrome_path, chromeTrace(*trace, executed));
         if (!profile_path.empty()) {
             writeFile(profile_path, profileChromeTrace(profile));
             std::cout << "\nhost-span profile:\n"
@@ -455,7 +459,7 @@ main(int argc, char **argv)
         }
 
         if (trace_events > 0)
-            trace.dump(std::cout, executed);
+            trace->dump(std::cout, executed);
         if (dump_asm)
             std::cout << disassemble(executed);
         if (dump_liveness) {

@@ -32,7 +32,7 @@ struct RunOptions
     /**
      * Engine options: mode (Representative vs FullMachine), SM
      * parallelism, memory seed, and observability sinks (gpu.obs
-     * attaches to SM 0; gpu.sinksForSm covers every SM).
+     * attaches to SM 0).
      */
     GpuOptions gpu;
 };

@@ -215,7 +215,6 @@ runSweep(const std::vector<SweepCase> &cases, const SweepOptions &options)
             // Observability sinks are per-run state; a sweep never
             // attaches the caller's sinks to its (parallel) cells.
             gpu.obs = ObsSinks{};
-            gpu.sinksForSm = nullptr;
             gpu.fault = c.fault;
             gpu.faultSm = c.faultSm;
 

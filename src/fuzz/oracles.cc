@@ -1,6 +1,7 @@
 #include "fuzz/oracles.hh"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -11,9 +12,12 @@
 #include "isa/asm_parser.hh"
 #include "obs/export.hh"
 #include "obs/json.hh"
+#include "obs/metrics.hh"
+#include "obs/sampler.hh"
 #include "serve/protocol.hh"
 #include "sim/diagnosis.hh"
 #include "sim/sanitizer.hh"
+#include "sim/trace.hh"
 
 namespace rm {
 namespace {
@@ -25,13 +29,17 @@ namespace {
 constexpr std::uint64_t kEpoch = 1024;
 constexpr std::uint64_t kDetectSlack = 2 * kEpoch;
 
+/// Sample interval of an observed run: prime, so sample cycles fall
+/// off the epoch grid and land inside idle spans skip-ahead jumps.
+constexpr std::uint64_t kObserveInterval = 97;
+
 std::string
 runKey(const RunSpec &spec)
 {
     std::ostringstream os;
     os << spec.policy << "/t" << spec.threads
        << (spec.sanitize ? "/S" : "") << (spec.stripCorrupt ? "/C" : "")
-       << "/m" << spec.maxCycles;
+       << "/m" << spec.maxCycles << (spec.observed ? "/O" : "");
     return os.str();
 }
 
@@ -498,6 +506,93 @@ codecOracle(CaseLab &lab, std::vector<OracleFinding> &findings)
     }
 }
 
+// ---------------------------------------------------------------------
+// observer: sinks observe, never steer
+// ---------------------------------------------------------------------
+
+/** The registry counters an observed SM publishes, with the SimStats
+ *  values they mirror (blocked acquires: attempts minus successes). */
+std::vector<std::pair<const char *, std::uint64_t>>
+mirroredCounters(const SimStats &s)
+{
+    return {
+        {"issue.slots_issued", s.issuedSlots},
+        {"issue.idle_slots", s.idleSchedulerSlots},
+        {"issue.instructions", s.instructions},
+        {"stall.scoreboard", s.scoreboardStalls},
+        {"stall.mem_structural", s.memStructuralStalls},
+        {"stall.barrier", s.barrierStalls},
+        {"stall.acquire", s.acquireStalls},
+        {"stall.resource", s.resourceStalls},
+        {"stall.no_warp", s.noWarpStalls},
+        {"srp.acquire_attempts", s.acquireAttempts},
+        {"srp.acquire_successes", s.acquireSuccesses},
+        {"srp.acquire_blocked", s.acquireAttempts - s.acquireSuccesses},
+        {"srp.releases", s.releases},
+        {"sim.emergency_spills", s.emergencySpills},
+    };
+}
+
+void
+observerOracle(CaseLab &lab, std::vector<OracleFinding> &findings)
+{
+    const FuzzCase &fc = lab.fuzzCase();
+    const auto flag = [&](const std::string &klass,
+                          const std::string &detail) {
+        report(findings, "observer", "observer:" + klass,
+               describeCase(fc) + ": " + detail);
+    };
+    // A) The whole run: same outcome and stats, counters mirror SM 0.
+    RunSpec spec{fc.policy, 1, false, false, 0};
+    const RunOutcome &bare = lab.run(spec);
+    spec.observed = true;
+    const RunOutcome &observed = lab.run(spec);
+    if (observed.kind != bare.kind) {
+        flag(std::string("outcome-mismatch:") + runOutcomeKindName(bare.kind) +
+                 "-vs-" + runOutcomeKindName(observed.kind),
+             "attaching sinks turned " +
+                 std::string(runOutcomeKindName(bare.kind)) + " into " +
+                 runOutcomeKindName(observed.kind));
+    } else if (bare.hasStats && observed.hasStats) {
+        if (observed.stats != bare.stats) {
+            flag("stats-mismatch",
+                 "attaching sinks changed SimStats (cycles " +
+                     std::to_string(bare.stats.cycles) + " vs " +
+                     std::to_string(observed.stats.cycles) + ")");
+        } else if (!observed.perSm.empty()) {
+            for (const auto &[name, value] :
+                 mirroredCounters(observed.perSm.front())) {
+                const auto it = observed.counters.find(name);
+                if (it == observed.counters.end() || it->second != value) {
+                    flag(std::string("counter-mismatch:") + name,
+                         std::string("registry counter ") + name +
+                             " does not mirror SM 0's SimStats (" +
+                             std::to_string(value) + ")");
+                }
+            }
+        }
+    }
+
+    // B) The fuzzed preempt point: identical snapshot bytes.
+    spec = RunSpec{fc.policy, 1, false, false, fc.snapshotCycle};
+    const RunOutcome &pre = lab.run(spec);
+    spec.observed = true;
+    const RunOutcome &observedPre = lab.run(spec);
+    if (pre.kind == RunOutcome::Kind::Preempted && pre.snapshot &&
+        observedPre.snapshot &&
+        pre.snapshot->serialize() != observedPre.snapshot->serialize()) {
+        flag("snapshot-mismatch",
+             "attaching sinks changed the snapshot at cycle " +
+                 std::to_string(fc.snapshotCycle));
+    } else if (observedPre.kind != pre.kind) {
+        flag(std::string("bounded-outcome-mismatch:") +
+                 runOutcomeKindName(pre.kind) + "-vs-" +
+                 runOutcomeKindName(observedPre.kind),
+             "attaching sinks changed the outcome at maxCycles=" +
+                 std::to_string(fc.snapshotCycle));
+    }
+}
+
 } // namespace
 
 const char *
@@ -516,6 +611,8 @@ plantedBugName(PlantedBug bug)
         return "missed-corruption";
     case PlantedBug::CodecDamage:
         return "codec-damage";
+    case PlantedBug::SinkSkew:
+        return "sink-skew";
     }
     return "unknown";
 }
@@ -613,6 +710,13 @@ CaseLab::execute(const RunSpec &spec,
     if (plantedBug == PlantedBug::MissedCorruption)
         options.gpu.control.sanitize = false;
     options.gpu.resume = resume;
+    MetricsRegistry registry;
+    Sampler sampler(registry, kObserveInterval);
+    std::optional<IssueTrace> trace;
+    if (spec.observed) {
+        trace.emplace();
+        options.gpu.obs = ObsSinks{&*trace, &registry, &sampler};
+    }
 
     try {
         PolicyRun run = runPolicy(spec.policy, program(), theCase.config,
@@ -649,7 +753,11 @@ CaseLab::execute(const RunSpec &spec,
             out.stats.cycles += 1;
         if (plantedBug == PlantedBug::ResumeSkew && resume)
             out.stats.cycles += 1;
+        if (plantedBug == PlantedBug::SinkSkew && spec.observed)
+            out.stats.cycles += 1;
     }
+    for (const auto &[name, counter] : registry.counters())
+        out.counters.emplace(name, counter.value());
     return out;
 }
 
@@ -671,6 +779,9 @@ fuzzOracles()
         {"codec",
          "snapshot/stats/asm/job/repro codecs round-trip or reject typed",
          codecOracle},
+        {"observer",
+         "attached sinks change no stats or snapshot; counters mirror stats",
+         observerOracle},
     };
     return oracles;
 }
@@ -712,6 +823,7 @@ plantedBugCatalog()
         {PlantedBug::ResumeSkew, "resume-skew", "preempt-resume"},
         {PlantedBug::MissedCorruption, "missed-corruption", "sanitize"},
         {PlantedBug::CodecDamage, "codec-damage", "codec"},
+        {PlantedBug::SinkSkew, "sink-skew", "observer"},
     };
     return catalog;
 }

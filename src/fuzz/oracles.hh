@@ -5,7 +5,7 @@
  * @file
  * Oracle registry for the differential fuzzer. An oracle inspects one
  * FuzzCase through a shared CaseLab (which memoizes the expensive
- * policy runs so five oracles don't re-simulate the same spec) and
+ * policy runs so the oracles don't re-simulate the same spec) and
  * reports findings: each finding carries a *signature* — oracle id plus
  * failure class — that the triage layer (fuzz/triage.hh) dedupes on and
  * the minimizer (fuzz/minimize.hh) preserves while shrinking.
@@ -35,9 +35,14 @@
  *    bytes, stats JSON, asm emit->parse, the fuzz repro JSON itself —
  *    and the serve decodeJobRequest survives bit-flipped/truncated job
  *    lines with a typed error, never a crash.
+ *  - "observer": attaching a registry, sampler and trace changes
+ *    nothing — same outcome and SimStats as the bare run, the same
+ *    snapshot bytes at the fuzzed preempt cycle — and the registry's
+ *    engine counters mirror SM 0's SimStats.
  *
  * The PlantedBug hook seeds one known bug per oracle (stats drift,
- * thread skew, resume skew, a suppressed sanitizer, codec damage) so
+ * thread skew, resume skew, a suppressed sanitizer, codec damage, sink
+ * skew) so
  * tests/test_fuzz.cc can prove each oracle actually catches its bug
  * class — a fuzzer whose oracles silently pass everything is worse
  * than no fuzzer.
@@ -78,6 +83,7 @@ enum class PlantedBug {
     ResumeSkew,        ///< perturbed resumed stats -> "preempt-resume"
     MissedCorruption,  ///< sanitizer suppressed -> "sanitize"
     CodecDamage,       ///< snapshot bytes damaged -> "codec"
+    SinkSkew,          ///< perturbed observed-run stats -> "observer"
 };
 
 /** Stable lower-case label ("none", "stats-drift", ...). */
@@ -107,6 +113,8 @@ struct RunOutcome
     std::string message;
     /** Engine snapshot of a Preempted outcome. */
     std::shared_ptr<const GpuSnapshot> snapshot;
+    /** Registry counters of an observed run (SM 0's sinks), by name. */
+    std::map<std::string, std::uint64_t> counters;
 };
 
 /** Stable lower-case label ("completed", "watchdog", ...). */
@@ -122,12 +130,15 @@ struct RunSpec
     bool stripCorrupt = false;
     /** Preempt at this simulated cycle (0: run to completion). */
     std::uint64_t maxCycles = 0;
+    /** Attach a registry, sampler and trace to SM 0. */
+    bool observed = false;
 };
 
 /**
  * Shared per-case execution context: builds the program once, memoizes
- * every (policy, threads, sanitize, stripCorrupt, maxCycles) run, and
- * applies the planted bug (if any) at the layer the bug class lives in.
+ * every (policy, threads, sanitize, stripCorrupt, maxCycles, observed)
+ * run, and applies the planted bug (if any) at the layer the bug class
+ * lives in.
  * All runs use FullMachine mode with faultSm = 0 and the same memory
  * seed, matching the determinism contract the oracles check.
  */

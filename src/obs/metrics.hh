@@ -40,8 +40,6 @@ class Gauge
 {
   public:
     void set(std::int64_t v) { level = v; }
-    void add(std::int64_t n = 1) { level += n; }
-    void sub(std::int64_t n = 1) { level -= n; }
     std::int64_t value() const { return level; }
 
   private:

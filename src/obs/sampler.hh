@@ -7,8 +7,10 @@
  * cycles into an in-memory time-series (one column per flattened
  * metric, one row per sample). Counters and gauges sample as their
  * current value; histograms flatten to <name>.count / <name>.sum /
- * <name>.max. The hot-path cost is one modulo per cycle; a sample
- * itself walks the registry, which is fine at any realistic interval.
+ * <name>.max. The SM checks due() on every cycle it ticks and treats
+ * the next sample cycle as a skip-ahead boundary, so no sample is
+ * jumped over; a sample itself walks the registry, which is fine at
+ * any realistic interval.
  */
 
 #include <cstdint>
@@ -40,14 +42,6 @@ class Sampler
     due(std::uint64_t cycle) const
     {
         return sampleInterval != 0 && cycle % sampleInterval == 0;
-    }
-
-    /** Call once per simulated cycle. */
-    void
-    tick(std::uint64_t cycle)
-    {
-        if (due(cycle))
-            snapshot(cycle);
     }
 
     /** Take a sample right now (e.g. a final end-of-run row). */

@@ -186,9 +186,7 @@ Gpu::run()
         fatalIf(!cell.prepared.allocator,
                 "Gpu: allocator factory returned null");
         cell.policy = cell.prepared.allocator->name();
-        const ObsSinks sinks = options.sinksForSm
-                                   ? options.sinksForSm(sm_id)
-                                   : (sm_id == 0 ? options.obs : ObsSinks{});
+        const ObsSinks sinks = sm_id == 0 ? options.obs : ObsSinks{};
         // Each SM owns its memory partition: seed memSeed + smId keeps
         // SM 0 identical to the single-SM model while the other slices
         // see distinct (deterministic) data.

@@ -11,10 +11,10 @@
  *    RegMutex's strictly per-SM effects (see DESIGN.md).
  *
  *  - FullMachine: the Gpu engine instantiates config.numSms SMs, each
- *    with its own allocator instance (built by an AllocatorFactory),
- *    its own GlobalMemory partition seed and its own observability
- *    sinks, distributes gridCtas exactly (remainder spread over the
- *    first SMs), runs the SMs on the shared thread pool
+ *    with its own allocator instance (built by an AllocatorFactory)
+ *    and its own GlobalMemory partition seed (observability sinks
+ *    attach to SM 0), distributes gridCtas exactly (remainder spread
+ *    over the first SMs), runs the SMs on the shared thread pool
  *    (common/thread_pool.hh) and merges the per-SM SimStats into a
  *    machine-level aggregate plus per-SM breakdowns. Per-SM runs are
  *    fully independent, so results are bit-identical for any thread
@@ -44,11 +44,12 @@ class Sampler;
  * Bundled observability sinks, all owned by the caller: an issue-stage
  * trace, a metrics registry (obs/metrics.hh) the SM populates with
  * named counters/gauges/histograms, and an interval sampler
- * (obs/sampler.hh) ticked once per simulated cycle. Leaving them null
- * disables the hooks; simulated cycle counts are identical either way
- * (sinks never feed back into timing). None of the sink types are
- * thread-safe, so in FullMachine mode each SM needs its own set (see
- * GpuOptions::sinksForSm).
+ * (obs/sampler.hh) that snapshots the registry every N simulated
+ * cycles. Leaving them null disables the hooks. Sinks observe and
+ * never steer: SimStats and snapshot bytes are identical either way,
+ * and skip-ahead stays on (a sample cycle is one more boundary it
+ * stops at). The sink types are not thread-safe; GpuOptions::obs
+ * attaches them to SM 0 only.
  */
 struct ObsSinks
 {
@@ -104,7 +105,7 @@ struct GpuOptions
      */
     std::uint64_t memSeed = 1;
     int log2MemWords = 20;
-    /** Convenience sinks attached to SM 0 only (often the only SM). */
+    /** Sinks attached to SM 0 only (often the only SM). */
     ObsSinks obs;
     /**
      * Deterministic fault-injection plan applied to the SM selected by
@@ -112,12 +113,6 @@ struct GpuOptions
      */
     FaultPlan fault;
     int faultSm = 0;
-    /**
-     * Per-SM observability sinks; overrides `obs` when set. Called
-     * once per SM id when its cell is built, possibly on a pool
-     * thread. The returned sinks must not be shared between SMs.
-     */
-    std::function<ObsSinks(int smId)> sinksForSm;
     /**
      * Run budgets and cooperative cancellation (sim/snapshot.hh).
      * maxCycles bounds every SM's simulated clock; the cancellation

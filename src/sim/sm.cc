@@ -203,8 +203,6 @@ Sm::launchCtas()
         }
         ++residentCtas;
         ++nextCtaId;
-        if (met.residentCtas)
-            met.residentCtas->set(residentCtas);
     }
 }
 
@@ -224,8 +222,6 @@ Sm::retireCta(int cta_slot)
     cta.ctaId = -1;
     --residentCtas;
     ++stats.ctasCompleted;
-    if (met.residentCtas)
-        met.residentCtas->set(residentCtas);
     launchCtas();
 }
 
@@ -405,7 +401,6 @@ Sm::issue(int slot)
               case AcquireOutcome::Acquired:
                 ++stats.acquireSuccesses;
                 if (met.acquireWait) {
-                    met.srpHolders->add();
                     met.acquireWait->observe(
                         warp.acquireWaitSince == 0
                             ? 0
@@ -434,14 +429,11 @@ Sm::issue(int slot)
                                      warp.launchOrder});
                 return;
             }
-            const bool held = warp.holdsExt;
             {
                 RM_PROF_SCOPE(ProfPhase::SmAcqRel);
                 allocator.release(warp);
             }
             ++stats.releases;
-            if (met.srpHolders && held && !warp.holdsExt)
-                met.srpHolders->sub();
             if (trace) {
                 trace->record(TraceEvent{cycle, slot, warp.ctaId,
                                          pc, TraceKind::Release});
@@ -494,10 +486,7 @@ Sm::issue(int slot)
                                      TraceKind::WarpExit});
         }
         warps.setState(slot, WarpState::Finished);
-        const bool held = warp.holdsExt;
         allocator.onWarpExit(warp);
-        if (met.srpHolders && held && !warp.holdsExt)
-            met.srpHolders->sub();
         --aliveWarps;
         --cta.warpsAlive;
         // A barrier can complete once an exited warp stops counting.
@@ -866,7 +855,6 @@ Sm::runControlled(const RunControl &control)
         launchCtas();
     }
     const bool epoch_work = control.epochWork();
-    const bool skip_ok = control.skipAhead && sampler == nullptr;
 
     while (stats.ctasCompleted < static_cast<std::uint64_t>(ctasToRun)) {
         // The cycle budget is checked every cycle so a snapshot can be
@@ -932,8 +920,6 @@ Sm::runControlled(const RunControl &control)
             wakeParked();
         }
         residentIntegral += aliveWarps;
-        if (met.residentWarps)
-            met.residentWarps->set(aliveWarps);
         if (sampler && sampler->due(cycle)) {
             publishMetrics();
             sampler->snapshot(cycle);
@@ -972,7 +958,7 @@ Sm::runControlled(const RunControl &control)
             }
             // Idle cycle with nothing in flight but wheel events: jump
             // the clock instead of ticking empty cycles one by one.
-            if (skip_ok && memQueue.empty() && !events.empty())
+            if (control.skipAhead && memQueue.empty() && !events.empty())
                 skipAhead(control, epoch_work);
         }
     }
@@ -1021,6 +1007,10 @@ Sm::skipAhead(const RunControl &control, bool epoch_work)
     }
     if (!corruptApplied && fault.corruptStateAtCycle > 0)
         stop = std::min(stop, fault.corruptStateAtCycle - 1);
+    if (sampler && sampler->interval() > 0) {
+        stop = std::min(stop, (cycle / sampler->interval() + 1) *
+                                      sampler->interval() - 1);
+    }
     stop = std::min(stop, lastProgressCycle +
                               static_cast<std::uint64_t>(
                                   config.watchdogCycles));
@@ -1079,6 +1069,12 @@ Sm::publishMetrics()
     for (std::size_t i = 0; i < kNumEngineCounters; ++i)
         met.engine[i]->add(now[i] - published[i]);
     published = now;
+    int holders = 0;
+    for (int slot = 0; slot < warps.numSlots(); ++slot)
+        holders += warps.resident(slot) && warps.warp(slot).holdsExt;
+    met.srpHolders->set(holders);
+    met.residentWarps->set(aliveWarps);
+    met.residentCtas->set(residentCtas);
 }
 
 void
@@ -1497,10 +1493,6 @@ Sm::restoreState(SnapshotReader &r)
     }
     if (met.restores)
         met.restores->add();
-    if (met.residentCtas)
-        met.residentCtas->set(residentCtas);
-    if (met.residentWarps)
-        met.residentWarps->set(aliveWarps);
 }
 
 } // namespace rm

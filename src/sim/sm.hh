@@ -69,8 +69,8 @@ class Sm
      * @param mapper     optional operand-collector mapping to verify
      *                   every register access against
      * @param metrics    optional metrics registry the SM instruments
-     * @param sampler    optional interval sampler ticked every cycle
-     *                   (attaching one disables skip-ahead)
+     * @param sampler    optional interval sampler; its sample cycles
+     *                   are ticked, never skipped over
      * @param sm_id      machine-level SM id (forensics context only)
      * @param fault      deterministic fault-injection plan (sim/fault.hh);
      *                   the default plan injects nothing
@@ -143,10 +143,11 @@ class Sm
 
     /**
      * Instrument pointers cached out of the registry at construction
-     * (all null when no registry is attached). The engine counters are
-     * copies of SimStats fields, so they are never touched on the hot
-     * path: publishMetrics() adds the SimStats delta since its last
-     * call. The rest are live hooks with one null-check per update
+     * (all null when no registry is attached). The engine counters and
+     * the gauges mirror engine state, so they are never touched on the
+     * hot path: publishMetrics() adds the SimStats delta since its last
+     * call and sets the gauges. The wait histogram and the snapshot /
+     * restore counters are live hooks with one null-check per update
      * site. See docs/OBSERVABILITY.md for the metric catalog.
      */
     static constexpr std::size_t kNumEngineCounters = 14;
@@ -260,10 +261,10 @@ class Sm
      * Skip-ahead fast path: on an idle cycle with every resident warp
      * provably waiting on a future wheel event, jump the clock to just
      * before the earliest of {next event, cycle budget, next epoch
-     * boundary, pending one-shot fault, watchdog expiry} and account
-     * the skipped idle cycles in closed form. Bit-identical to ticking
-     * them (the per-cycle bookkeeping of an idle span is a pure
-     * function of the frozen machine state).
+     * boundary, pending one-shot fault, watchdog expiry, next sample
+     * cycle} and account the skipped idle cycles in closed form.
+     * Bit-identical to ticking them (the per-cycle bookkeeping of an
+     * idle span is a pure function of the frozen machine state).
      */
     void skipAhead(const RunControl &control, bool epoch_work);
 
@@ -302,7 +303,8 @@ class Sm
     /** Fill the derived SimStats fields and publish (idempotent). */
     void finishStats();
 
-    /** Add the engine-counter delta since the last call to the registry. */
+    /** Add the engine-counter delta since the last call to the registry
+     *  and set the gauges from the current engine state. */
     void publishMetrics();
 
     /** Sanitizer epoch audit; throws SanitizerError on violation. */

@@ -54,7 +54,7 @@ struct SimWarp
     std::uint64_t acquireWaitSince = 0;
 
     // --- RFV scratch ---
-    Bitmask physMapped;  ///< arch regs currently backed by phys regs
+    Bitmask physMapped{0};  ///< arch regs currently backed by phys regs
     // --- OWF scratch ---
     bool ownsLock = false;
 

@@ -130,9 +130,11 @@ wideGoldenCases()
     return cases;
 }
 
-/** Run one cell. @p threads only matters for full-machine cells. */
+/** Run one cell on top of @p options (sinks, snapshot cadence).
+ *  @p threads only matters for full-machine cells. */
 inline PolicyRun
-runGoldenCase(const GoldenCase &c, int threads = 1, bool skip_ahead = true)
+runGoldenCase(const GoldenCase &c, int threads = 1, bool skip_ahead = true,
+              RunOptions options = {})
 {
     Program program;
     if (c.regs > 0) {
@@ -148,7 +150,6 @@ runGoldenCase(const GoldenCase &c, int threads = 1, bool skip_ahead = true)
         program = buildWorkload(c.workload);
     }
     GpuConfig config = c.config;
-    RunOptions options;
     options.gpu.control.skipAhead = skip_ahead;
     if (c.fullMachine) {
         program.info.gridCtas = c.gridCtas;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -20,10 +21,13 @@
 #include "sim/diagnosis.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
+#include "obs/profiler.hh"
 #include "obs/sampler.hh"
 #include "sim/gpu.hh"
 #include "sim/trace.hh"
 #include "workloads/suite.hh"
+
+#include "engine_golden_cases.hh"
 
 namespace rm {
 namespace {
@@ -42,11 +46,11 @@ TEST(Metrics, CounterAccumulates)
 TEST(Metrics, GaugeMovesBothWays)
 {
     Gauge g;
-    g.add(5);
-    g.sub(8);
-    EXPECT_EQ(g.value(), -3);
+    EXPECT_EQ(g.value(), 0);
     g.set(7);
     EXPECT_EQ(g.value(), 7);
+    g.set(-3);
+    EXPECT_EQ(g.value(), -3);
 }
 
 TEST(Metrics, HistogramBucketsArePowersOfTwo)
@@ -103,6 +107,14 @@ TEST(Metrics, RegistryReferencesAreStable)
 
 // --- Sampler ---------------------------------------------------------
 
+/** What the SM does on every cycle it ticks. */
+void
+sampleIfDue(Sampler &sampler, std::uint64_t cycle)
+{
+    if (sampler.due(cycle))
+        sampler.snapshot(cycle);
+}
+
 TEST(Sampler, SamplesOnExactMultiplesOfInterval)
 {
     MetricsRegistry registry;
@@ -110,7 +122,7 @@ TEST(Sampler, SamplesOnExactMultiplesOfInterval)
     Sampler sampler(registry, 3);
     for (std::uint64_t cycle = 1; cycle <= 10; ++cycle) {
         c.add();
-        sampler.tick(cycle);
+        sampleIfDue(sampler, cycle);
     }
     ASSERT_EQ(sampler.samples().size(), 3u);
     EXPECT_EQ(sampler.samples()[0].cycle, 3u);
@@ -126,7 +138,7 @@ TEST(Sampler, ZeroIntervalDisablesTicks)
     MetricsRegistry registry;
     Sampler sampler(registry, 0);
     for (std::uint64_t cycle = 1; cycle <= 100; ++cycle)
-        sampler.tick(cycle);
+        sampleIfDue(sampler, cycle);
     EXPECT_TRUE(sampler.samples().empty());
     // An explicit snapshot still works (end-of-run row).
     sampler.snapshot(100);
@@ -138,9 +150,9 @@ TEST(Sampler, LateMetricOpensBackfilledColumn)
     MetricsRegistry registry;
     registry.counter("early").add(1);
     Sampler sampler(registry, 1);
-    sampler.tick(1);
+    sampleIfDue(sampler, 1);
     registry.counter("late").add(5);
-    sampler.tick(2);
+    sampleIfDue(sampler, 2);
     ASSERT_EQ(sampler.columns().size(), 2u);
     EXPECT_EQ(sampler.columns()[0], "early");
     EXPECT_EQ(sampler.columns()[1], "late");
@@ -154,7 +166,7 @@ TEST(Sampler, HistogramsFlattenToThreeColumns)
     MetricsRegistry registry;
     registry.histogram("wait").observe(4);
     Sampler sampler(registry, 1);
-    sampler.tick(1);
+    sampleIfDue(sampler, 1);
     const std::vector<std::string> expected{"wait.count", "wait.sum",
                                             "wait.max"};
     EXPECT_EQ(sampler.columns(), expected);
@@ -234,9 +246,9 @@ TEST(Export, SamplerCsvHasHeaderAndIntegralCells)
     registry.counter("issue.slots").add(7);
     registry.gauge("warps").set(3);
     Sampler sampler(registry, 10);
-    sampler.tick(10);
+    sampleIfDue(sampler, 10);
     registry.counter("issue.slots").add(5);
-    sampler.tick(20);
+    sampleIfDue(sampler, 20);
 
     const std::string csv = samplerToCsv(sampler);
     std::istringstream lines(csv);
@@ -566,23 +578,74 @@ TEST(ObservedLegs, MetricsMirrorSimStatsAcrossLegs)
     expectRegistryMirrorsStats(legs, run.stats());
 }
 
+/** Sampled value of @p column in row @p row (the column must exist). */
+double
+sampled(const Sampler &sampler, std::size_t row, const std::string &column)
+{
+    const std::vector<std::string> &columns = sampler.columns();
+    const auto it = std::find(columns.begin(), columns.end(), column);
+    EXPECT_NE(it, columns.end()) << column;
+    if (it == columns.end())
+        return -1.0;
+    return sampler.samples()[row].values[static_cast<std::size_t>(
+        it - columns.begin())];
+}
+
 TEST(ObservedLegs, ResumedRunCountsOnlyPostResumeEvents)
 {
+    // Cut once inside the denied-acquire window and once in a fault-free
+    // run, where SRP sections are held across the cut.
     const Program p = buildWorkload("BFS");
-    RunOptions cut = deniedAcquireOptions();
-    cut.gpu.control.maxCycles = 25000;
-    const PolicyRun preempted = runPolicy("regmutex", p, gtx480Config(), cut);
-    ASSERT_FALSE(preempted.result.completed());
+    for (const bool denied : {true, false}) {
+        SCOPED_TRACE(denied ? "denied acquires" : "no faults");
+        const RunOptions plan = denied ? deniedAcquireOptions() : RunOptions{};
+        RunOptions cut = plan;
+        cut.gpu.control.maxCycles = 25000;
+        const PolicyRun preempted =
+            runPolicy("regmutex", p, gtx480Config(), cut);
+        ASSERT_FALSE(preempted.result.completed());
 
-    RunOptions resume = deniedAcquireOptions();
-    MetricsRegistry registry;
-    resume.gpu.obs.metrics = &registry;
-    resume.gpu.resume = preempted.result.snapshot;
-    const PolicyRun resumed =
-        runPolicy("regmutex", p, gtx480Config(), resume);
-    ASSERT_TRUE(resumed.result.completed());
-    expectRegistryMirrorsStats(registry, resumed.stats(), preempted.stats());
-    EXPECT_EQ(registry.counters().at("sim.restores").value(), 1u);
+        RunOptions resume = plan;
+        MetricsRegistry registry;
+        Sampler sampler(registry, 500);
+        resume.gpu.obs.metrics = &registry;
+        resume.gpu.obs.sampler = &sampler;
+        resume.gpu.resume = preempted.result.snapshot;
+        const PolicyRun resumed =
+            runPolicy("regmutex", p, gtx480Config(), resume);
+        ASSERT_TRUE(resumed.result.completed());
+        expectRegistryMirrorsStats(registry, resumed.stats(),
+                                   preempted.stats());
+        EXPECT_EQ(registry.counters().at("sim.restores").value(), 1u);
+        // Gauges are levels, not deltas: they read the resumed engine's
+        // state, so every SRP section is free again at the end.
+        EXPECT_EQ(registry.gauge("srp.holders").value(), 0);
+
+        // Each gauge row sampled after the cut equals the uninterrupted
+        // run's row at the same cycle.
+        RunOptions whole = plan;
+        MetricsRegistry whole_registry;
+        Sampler whole_sampler(whole_registry, 500);
+        whole.gpu.obs.metrics = &whole_registry;
+        whole.gpu.obs.sampler = &whole_sampler;
+        ASSERT_TRUE(runPolicy("regmutex", p, gtx480Config(), whole)
+                        .result.completed());
+        const std::uint64_t interval = sampler.interval();
+        ASSERT_FALSE(sampler.samples().empty());
+        ASSERT_EQ(sampler.samples().front().cycle, 25000u + interval);
+        for (std::size_t row = 0; row < sampler.samples().size(); ++row) {
+            const std::uint64_t cycle = sampler.samples()[row].cycle;
+            const std::size_t whole_row = cycle / interval - 1;
+            ASSERT_LT(whole_row, whole_sampler.samples().size());
+            ASSERT_EQ(whole_sampler.samples()[whole_row].cycle, cycle);
+            for (const char *gauge :
+                 {"srp.holders", "warps.resident", "ctas.resident"}) {
+                EXPECT_EQ(sampled(sampler, row, gauge),
+                          sampled(whole_sampler, whole_row, gauge))
+                    << gauge << " at cycle " << cycle;
+            }
+        }
+    }
 }
 
 TEST_F(ObservedRun, SamplerCoversTheRun)
@@ -626,6 +689,92 @@ TEST_F(ObservedRun, DisablingSinksChangesNoCycles)
     const PolicyRun plain = runPolicy("regmutex", p, gtx480Config());
     EXPECT_EQ(plain.stats().cycles, run.stats().cycles);
     EXPECT_EQ(plain.stats().instructions, run.stats().instructions);
+}
+
+// --- Sinks observe, never steer ----------------------------------------
+
+/** Cycles the SM ticked (one sm.schedule span each) and the stats of a
+ *  BFS/regmutex run with @p sinks attached. */
+std::pair<std::uint64_t, SimStats>
+tickedCycles(const ObsSinks &sinks)
+{
+    const Program p = buildWorkload("BFS");
+    RunOptions options;
+    options.gpu.obs = sinks;
+    Profiler::enable();
+    const PolicyRun run = runPolicy("regmutex", p, gtx480Config(), options);
+    const ProfReport report = Profiler::report();
+    Profiler::disable();
+    return {report.phases[static_cast<std::size_t>(ProfPhase::SmSchedule)]
+                .count,
+            run.stats()};
+}
+
+TEST(SinksObserve, SamplerKeepsSkipAheadOn)
+{
+    // An attached sampler adds its sample cycles to the ticked ones and
+    // nothing else: every other idle span is still skipped.
+    const auto [bare_ticks, bare] = tickedCycles(ObsSinks{});
+    MetricsRegistry registry;
+    Sampler sampler(registry, 500);
+    ObsSinks sinks;
+    sinks.metrics = &registry;
+    sinks.sampler = &sampler;
+    const auto [observed_ticks, observed] = tickedCycles(sinks);
+    EXPECT_EQ(observed, bare);
+    ASSERT_GT(bare_ticks, 0u);
+    EXPECT_LE(observed_ticks, bare_ticks + bare.cycles / 500 + 1);
+    EXPECT_LT(observed_ticks, bare.cycles);
+}
+
+/** The stats and both exports of one sampled run of @p cell. */
+struct ObservedCell
+{
+    SimStats stats;
+    std::string csv;
+    std::string metrics;
+};
+
+ObservedCell
+observeCell(const test::GoldenCase &cell, bool skip_ahead,
+            std::uint64_t snapshot_every)
+{
+    MetricsRegistry registry;
+    Sampler sampler(registry, 500);
+    RunOptions options;
+    options.gpu.obs.metrics = &registry;
+    options.gpu.obs.sampler = &sampler;
+    options.gpu.snapshotEvery = snapshot_every;
+    const PolicyRun run =
+        test::runGoldenCase(cell, 1, skip_ahead, std::move(options));
+    return {run.stats(), samplerToCsv(sampler), registryToJson(registry)};
+}
+
+TEST(SinksObserve, SampledRunMatchesPerCycleReference)
+{
+    // With skip-ahead on, a sampled run takes the same samples and ends
+    // on the same registry as the per-cycle loop, in one leg or many.
+    std::vector<test::GoldenCase> cells;
+    for (const std::string &policy : test::goldenPolicies())
+        cells.push_back({"BFS/" + policy, "BFS", policy});
+    for (const test::GoldenCase &wide : test::wideGoldenCases()) {
+        if (wide.key == "BFS/regmutex/k128/rep")
+            cells.push_back(wide);
+    }
+    ASSERT_EQ(cells.size(), 6u);
+    for (const test::GoldenCase &cell : cells) {
+        for (const std::uint64_t snapshot_every : {0u, 20000u}) {
+            const ObservedCell ticked =
+                observeCell(cell, false, snapshot_every);
+            const ObservedCell skipped =
+                observeCell(cell, true, snapshot_every);
+            const std::string where =
+                cell.key + " snapshotEvery=" + std::to_string(snapshot_every);
+            EXPECT_EQ(skipped.stats, ticked.stats) << where;
+            EXPECT_EQ(skipped.csv, ticked.csv) << where;
+            EXPECT_EQ(skipped.metrics, ticked.metrics) << where;
+        }
+    }
 }
 
 // --- Hostile input ---
